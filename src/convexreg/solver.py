@@ -15,9 +15,14 @@ must be nonnegative for every p and zero at every kink and at the right end,
 and the total fitted mass must match the total response mass.  All sums carry
 the dataset weights so merged duplicate points count with their multiplicity.
 
-Normal equations are assembled in O(k^2) from suffix sums of the weighted
-design moments; if their condition estimate exceeds 1e12 the solve falls back
-to an orthogonal (lstsq) path on the explicit hinge design.
+Each solve fits the least-squares linear spline whose knots are the current
+kinks, in the hat (linear B-spline) basis: the unknowns are its values at
+x[0], the kinks and x[n-1], and the normal equations are tridiagonal.  They
+are assembled from segment moments taken in local coordinates and cached
+across solves, then solved by an O(k) Thomas sweep.  Every node is a design
+point, so the system is positive definite and needs no condition check or
+fallback.  The node values are converted to the hinge form that the line
+search and the certificate use.
 """
 
 import numpy as np
@@ -31,7 +36,6 @@ from .model import (
     _EPS,
 )
 
-_COND_LIMIT = 1e12
 _TIE_WINDOW = 1e-12
 
 
@@ -93,71 +97,86 @@ def _fitted_of(fit_or_values) -> np.ndarray:
 
 
 class _HingeSystem:
-    """Weighted normal equations over hinge bases, assembled from suffix sums."""
+    """Weighted least-squares linear spline on a kink set, in the hat basis.
+
+    Segment s runs between consecutive nodes t_s < t_{s+1} and owns the
+    design points from t_s up to, not including, t_{s+1} (the last segment
+    also owns x[n-1]).  With u = (x - t_s) / h_s and v = (t_{s+1} - x) / h_s
+    it contributes the moments sum w*v^2, w*u*v, w*u^2, w*y*v and w*y*u to
+    the tridiagonal normal equations.  The local coordinate keeps them
+    accurate on near-zero gaps, where expanding raw power sums of x cancels.
+    Moments are cached by (start, end) node pair: a kink entering or leaving
+    changes at most two segments, so a solve reuses all the others.
+
+    Each node is a design point with positive weight, so the system is
+    positive definite on every kink set and there is no ill-conditioned case
+    for a fallback solve to catch; rounding that spoiled a fit would still
+    fail the certificate, which raises :class:`SolverError`.
+    """
 
     def __init__(self, dataset: Dataset):
-        x, y, w = dataset.x, dataset.y, dataset.weights
-        self.x = x
-        self.y = y
-        self.w = w
-        self.n = x.size
-        # suffix[i] = sum over points with index >= i; last entry is 0
-        self.s0 = self._suffix(w)
-        self.s1 = self._suffix(w * x)
-        self.s2 = self._suffix(w * x * x)
-        self.sy = self._suffix(w * y)
-        self.sxy = self._suffix(w * x * y)
-        self.fallbacks = 0
+        self.x = dataset.x
+        self.y = dataset.y
+        self.w = dataset.weights
+        self.n = self.x.size
+        self._moments = {}
 
-    @staticmethod
-    def _suffix(values):
-        out = np.zeros(values.size + 1)
-        np.cumsum(values[::-1], out=out[1:])
-        return out[::-1].copy()
+    def _segment_moments(self, start: int, end: int) -> tuple:
+        stop = end + 1 if end == self.n - 1 else end
+        xs = self.x[start:stop]
+        ws = self.w[start:stop]
+        ys = self.y[start:stop]
+        left, right = self.x[start], self.x[end]
+        gap = right - left
+        u = (xs - left) / gap
+        v = (right - xs) / gap
+        wu = ws * u
+        wv = ws * v
+        # elementwise products and np.sum rather than dot: no BLAS call
+        return (
+            float(np.sum(wv * v)),
+            float(np.sum(wu * v)),
+            float(np.sum(wu * u)),
+            float(np.sum(wv * ys)),
+            float(np.sum(wu * ys)),
+        )
 
     def solve(self, kinks: np.ndarray) -> np.ndarray:
         """Coefficients (intercept, base slope, hinge coeffs) on a kink set."""
-        k = kinks.size
-        xj = self.x[kinks]
-        tail = kinks + 1
-        gram = np.empty((k + 2, k + 2))
-        gram[0, 0] = self.s0[0]
-        gram[0, 1] = gram[1, 0] = self.s1[0]
-        gram[1, 1] = self.s2[0]
-        rhs = np.empty(k + 2)
-        rhs[0] = self.sy[0]
-        rhs[1] = self.sxy[0]
-        if k:
-            h0 = self.s1[tail] - xj * self.s0[tail]
-            h1 = self.s2[tail] - xj * self.s1[tail]
-            gram[0, 2:] = h0
-            gram[2:, 0] = h0
-            gram[1, 2:] = h1
-            gram[2:, 1] = h1
-            later = np.maximum.outer(kinks, kinks) + 1
-            xa = xj[:, None]
-            xb = xj[None, :]
-            gram[2:, 2:] = self.s2[later] - (xa + xb) * self.s1[later] + xa * xb * self.s0[later]
-            rhs[2:] = self.sxy[tail] - xj * self.sy[tail]
-        cond = np.linalg.cond(gram)
-        if np.isfinite(cond) and cond <= _COND_LIMIT:
-            return np.linalg.solve(gram, rhs)
-        return self.solve_orthogonal(kinks)
-
-    def solve_orthogonal(self, kinks: np.ndarray) -> np.ndarray:
-        # lstsq on the explicit weighted design; used when the normal
-        # equations are too ill-conditioned (clustered kinks)
-        self.fallbacks += 1
-        root_w = np.sqrt(self.w)
-        cols = [np.ones(self.n), self.x]
-        for j in kinks:
-            cols.append(np.maximum(self.x - self.x[j], 0.0))
-        design = np.column_stack(cols) * root_w[:, None]
-        coef, _, rank, _ = np.linalg.lstsq(design, root_w * self.y, rcond=None)
-        if rank < design.shape[1]:
-            raise SolverError(
-                f"hinge design is numerically singular (rank {rank} of {design.shape[1]})"
-            )
+        nodes = np.concatenate(([0], kinks, [self.n - 1]))
+        ends = nodes.tolist()
+        rows = []
+        for key in zip(ends, ends[1:]):
+            row = self._moments.get(key)
+            if row is None:
+                row = self._moments[key] = self._segment_moments(*key)
+            rows.append(row)
+        vv, uv, uu, yv, yu = zip(*rows)
+        # a node gathers the u-terms of the segment ending at it and the
+        # v-terms of the segment starting at it
+        diag = [a + b for a, b in zip((0.0, *uu), (*vv, 0.0))]
+        rhs = [a + b for a, b in zip((0.0, *yu), (*yv, 0.0))]
+        # Thomas sweep; positive definiteness keeps every pivot positive
+        pivot, reduced = diag[0], rhs[0]
+        pivots, reduceds = [pivot], [reduced]
+        for off, d, r in zip(uv, diag[1:], rhs[1:]):
+            factor = off / pivot
+            pivot = d - factor * off
+            reduced = r - factor * reduced
+            pivots.append(pivot)
+            reduceds.append(reduced)
+        value = reduced / pivot
+        values = [value]
+        for off, pivot, reduced in zip(reversed(uv), pivots[-2::-1], reduceds[-2::-1]):
+            value = (reduced - off * value) / pivot
+            values.append(value)
+        values = np.array(values[::-1])
+        knots = self.x[nodes]
+        slopes = np.diff(values) / np.diff(knots)
+        coef = np.empty(nodes.size)
+        coef[0] = values[0] - slopes[0] * knots[0]
+        coef[1] = slopes[0]
+        coef[2:] = np.diff(slopes)
         return coef
 
     def fitted(self, kinks: np.ndarray, coef: np.ndarray) -> np.ndarray:

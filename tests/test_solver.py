@@ -10,6 +10,7 @@ from convexreg import (
     kkt_sums,
 )
 from convexreg.oracle import enumerate_convex_lse
+from convexreg.simulation import ScenarioSpec, generate_scenario
 from convexreg.solver import _HingeSystem, certificate_scale
 
 from helpers import noisy_convex_dataset, random_convex_values, random_dataset
@@ -178,10 +179,89 @@ def test_trace_records_progress():
     )
 
 
-def test_orthogonal_fallback_agrees_with_normal_equations():
+def _hinge_lstsq(ds, kinks):
+    """Reference solve: weighted lstsq on the explicit hinge design.
+
+    Returns the coefficients (intercept, base slope, hinge coeffs) and the
+    weighted residual sum of squares.
+    """
+    root_w = np.sqrt(ds.weights)
+    cols = [np.ones(ds.n), ds.x] + [np.maximum(ds.x - ds.x[j], 0.0) for j in kinks]
+    design = np.column_stack(cols) * root_w[:, None]
+    target = root_w * ds.y
+    coef = np.linalg.lstsq(design, target, rcond=None)[0]
+    resid = target - design @ coef
+    return coef, float(np.sum(resid * resid))
+
+
+def _gapped_dataset():
+    # points 20, 40 and 59 sit 1e-10 right of their left neighbours
     ds = noisy_convex_dataset(31, n=60)
-    system = _HingeSystem(ds)
-    kinks = np.array([7, 19, 33, 48])
-    direct = system.solve(kinks)
-    orthogonal = system.solve_orthogonal(kinks)
-    assert np.max(np.abs(direct - orthogonal)) < 1e-8
+    x = ds.x.copy()
+    for j in (20, 40, 59):
+        x[j] = x[j - 1] + 1e-10
+    weights = np.random.default_rng(31).uniform(0.5, 3.0, size=60)
+    return Dataset(x=x, y=ds.y, weights=weights)
+
+
+# kinks at both ends of an interior 1e-10 gap are left out: the hinge design
+# has a condition number near 1e11 there, so the lstsq reference itself is
+# off by about 1e-7 relative
+@pytest.mark.parametrize(
+    "gapped, kinks",
+    [
+        pytest.param(False, [7, 19, 33, 48], id="spread"),
+        pytest.param(False, [20, 21, 22], id="adjacent"),
+        pytest.param(False, [1, 2, 3], id="adjacent_left_end"),
+        pytest.param(False, [56, 57, 58], id="adjacent_right_end"),
+        pytest.param(True, [19, 21], id="straddling_gap"),
+        pytest.param(True, [20, 40], id="right_of_gaps"),
+    ],
+)
+def test_hat_basis_solve_matches_hinge_lstsq(gapped, kinks):
+    ds = _gapped_dataset() if gapped else noisy_convex_dataset(31, n=60)
+    solved = _HingeSystem(ds).solve(np.array(kinks))
+    reference, _ = _hinge_lstsq(ds, kinks)
+    assert np.max(np.abs(solved - reference)) < 1e-8
+
+
+@pytest.mark.parametrize("kinks", [[58], [57, 58]])
+def test_hat_basis_solve_on_tiny_last_segment(kinks):
+    # the last segment spans a 1e-10 gap, so its hinge coefficient is of
+    # order 1/gap; compare relative to the coefficient size
+    ds = _gapped_dataset()
+    solved = _HingeSystem(ds).solve(np.array(kinks))
+    reference, _ = _hinge_lstsq(ds, kinks)
+    assert np.max(np.abs(solved - reference)) < 1e-8 * np.max(np.abs(reference))
+
+
+def _assert_certified(ds, fit, trace, tol=1e-8):
+    cum = trace.certificate.cum / certificate_scale(ds)
+    assert cum.min() >= -tol
+    for j, _ in fit.hinge_coeffs:
+        assert abs(cum[j - 1]) <= tol
+    assert abs(cum[-1]) <= tol
+    assert abs(trace.certificate.total_gap) / certificate_scale(ds) <= tol
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_vanishing_fit_matches_lstsq_refit_on_its_kinks(seed):
+    # segment moments expanded from raw prefix sums cancel on short end
+    # segments and fail this bound on seeds 1 and 3, whose last segments
+    # hold two and five points
+    ds = generate_scenario(ScenarioSpec("vanishing", n=40000, seed=seed, r=4))
+    fit, trace = fit_convex_lse(ds)
+    _assert_certified(ds, fit, trace)
+    _, reference = _hinge_lstsq(ds, [j for j, _ in fit.hinge_coeffs])
+    assert trace.final_objective <= (1.0 + 1e-12) * reference
+
+
+def test_solve_path_makes_no_dense_linear_algebra_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra call on the solve path")
+
+    for name in ("solve", "cond", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    ds = noisy_convex_dataset(8, n=2000)
+    fit, trace = fit_convex_lse(ds)
+    _assert_certified(ds, fit, trace)
