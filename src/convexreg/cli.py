@@ -17,6 +17,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -39,16 +40,37 @@ class InputError(ValueError):
 
 
 def _read_csv_columns(path, columns):
-    rows = []
+    """Read a headed numeric CSV into an ``(n, len(columns))`` float array.
+
+    After the header check the body is parsed in one ``np.loadtxt`` call.
+    That result is used only when it is non-empty, has one column per name
+    and is all finite.  Anything else (a parse error, an empty body, a
+    non-finite value, or a row that ``float`` accepts but ``loadtxt`` does
+    not, such as ``1_0`` or a quoted field) reruns the file through the
+    line parser, which decides what is accepted and reports the line
+    number of the first bad row.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header] != list(columns):
             raise InputError(f"{path}: line 1: expected header {','.join(columns)}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            data = None
+        if (data is not None and data.shape[0] > 0 and data.shape[1] == len(columns)
+                and np.isfinite(data).all()):
+            return data
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue

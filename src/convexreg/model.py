@@ -124,7 +124,8 @@ def build_dataset(points) -> Dataset:
     Duplicate x-values are merged into a single point whose weight is the
     multiplicity and whose response is the mean of the duplicates.
     """
-    pts = list(points)
+    # an ndarray is taken whole: list() would split it into row arrays
+    pts = points if isinstance(points, np.ndarray) else list(points)
     if len(pts) < 2:
         raise ValueError("need at least 2 points")
     arr = np.asarray(pts, dtype=float)

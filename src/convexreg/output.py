@@ -4,6 +4,14 @@ Every float prints with 17 significant digits (which round-trips doubles
 exactly), JSON keys are sorted, and CSV files start with one comment line
 embedding the fully resolved run configuration, so identical runs produce
 identical bytes and any artifact can be replayed from its own header.
+
+A 1-d ``float64`` array (the per-point data of a fit) is written in one
+pass: a vectorized finiteness check, then a single ``%.17g`` formatting
+call over ``arr.tolist()``.  Everything else (lists, scalars, int, bool and
+multi-dimensional arrays) goes element by element through :func:`fmt`.
+That path stays as the byte reference for the array pass: ``%.17g`` on a
+Python float prints exactly what ``f"{v:.17g}"`` prints, and a non-finite
+value raises the same error from either path.
 """
 
 import json
@@ -37,6 +45,11 @@ def canonical_json(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64:
+            finite = np.isfinite(obj)
+            if not finite.all():
+                fmt(obj[np.argmin(finite)])  # raises fmt's error for the first bad value
+            return "[" + (",".join(["%.17g"] * obj.size) % tuple(obj.tolist())) + "]"
         return canonical_json(list(obj))
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))

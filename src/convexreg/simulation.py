@@ -25,7 +25,6 @@ order, so the parallel schedule never changes the output.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +75,9 @@ def _run_tasks(fn, tasks, threads=None):
     workers = min(workers, len(tasks)) if tasks else 1
     if workers <= 1:
         return [fn(t) for t in tasks]
+    # imported here so serial commands (fit included) skip loading multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 

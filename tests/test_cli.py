@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from convexreg import cli
 from convexreg.cli import main
 from convexreg.output import fmt
 
@@ -109,6 +110,72 @@ def test_malformed_csv_reports_line(tmp_path, capsys):
     code = main(["fit", "--input", str(src), "--output", str(tmp_path / "o.json")])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def _random_rows_text(columns):
+    rng = np.random.default_rng(5)
+    rows = rng.random((300, len(columns)))
+    rows[::7, 1] = rng.normal(scale=1e-200, size=rows[::7, 1].size)
+    lines = [",".join(fmt(float(v)) for v in row) for row in rows[:150]]
+    lines += [",".join(repr(float(v)) for v in row) for row in rows[150:]]
+    return ",".join(columns) + "\n" + "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "columns, body",
+    [
+        (("x", "y"), _random_rows_text(("x", "y"))),
+        (("x", "y"), "x,y\n0.1,1.0\n\n0.4,2.5\n"),
+        (("x", "y"), "x,y\n0.1,1.0\n   \n0.4,2.5\n"),
+        (("x", "y"), " x , y \n 0.1 , 1.0\n0.4 ,\t2.5 \n"),
+        (("x", "y"), "x,y\r\n0.1,1.0\r\n0.4,2.5\r\n"),
+        (("x", "y"), 'x,y\n"0.1","1.0"\n0.4,2.5\n'),
+        (("x", "y"), "x,y\n0.1,1_0\n0.4,2.5\n"),
+        (("x", "y"), "x,y\n0.3,-7e-310"),
+        (("x", "y", "fitted"), "x,y,fitted\n0.1,1.0,0.9\n0.4,2.5,2.4\n0.8,-1,0.5\n"),
+        (("x", "y", "fitted"), _random_rows_text(("x", "y", "fitted"))),
+    ],
+    ids=["random", "blank", "whitespace", "spaces", "crlf", "quoted", "underscore",
+         "single_row", "three_columns", "random_three_columns"],
+)
+def test_csv_reader_matches_line_parser(tmp_path, monkeypatch, columns, body):
+    src = tmp_path / "in.csv"
+    src.write_bytes(body.encode())
+    got = cli._read_csv_columns(str(src), columns)
+
+    def no_fast_path(*args, **kwargs):
+        raise ValueError("fast path disabled")
+
+    monkeypatch.setattr(cli.np, "loadtxt", no_fast_path)
+    expected = cli._read_csv_columns(str(src), columns)
+    assert got.dtype == expected.dtype == np.float64
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("x,y\n0.1,1.0\n0.4,oops\n", "line 3: could not convert string to float: 'oops'"),
+        ("x,y\n0.1,1.0\n0.4,1.0,2.0\n", "line 3: expected 2 fields"),
+        ("x,y\n0.1,1.0,0.0\n0.4,1.0,2.0\n", "line 2: expected 2 fields"),
+        ("x,y\n0.1,1.0\n\n0.4,\n", "line 4: could not convert string to float: ''"),
+        ("x,y\n0.1,1.0\n0.4,inf\n", "line 3: non-finite value"),
+        ("x,y\n0.1,nan\n0.4,1\n", "line 2: non-finite value"),
+        ("x,y\n0.1,1.0\n0.4,1e400\n", "line 3: non-finite value"),
+        ("x,y\n\n  \n", "no data rows"),
+        ("x,y", "no data rows"),
+    ],
+    ids=["text", "field_count", "three_fields", "empty_field", "inf", "nan", "overflow",
+         "empty_body", "header_only"],
+)
+def test_malformed_csv_messages(tmp_path, capsys, body, message):
+    src = tmp_path / "bad.csv"
+    src.write_bytes(body.encode())
+    code = main(["fit", "--input", str(src), "--output", str(tmp_path / "o.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: {src}: {message}\n"
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_missing_header_rejected(tmp_path):

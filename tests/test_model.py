@@ -56,6 +56,29 @@ class TestBuildDataset:
         with pytest.raises(ValueError):
             build_dataset([(0.3, 1.0)])
 
+    def test_array_list_and_zip_give_identical_datasets(self):
+        rng = np.random.default_rng(3)
+        x = rng.random(500)
+        x[::50] = x[1::50]  # duplicates to merge
+        y = rng.standard_normal(500)
+        datasets = [build_dataset(np.column_stack([x, y])),
+                    build_dataset(list(zip(x.tolist(), y.tolist()))),
+                    build_dataset(zip(x, y))]
+        for ds in datasets[1:]:
+            for field in ("x", "y", "weights"):
+                assert getattr(ds, field).tobytes() == getattr(datasets[0], field).tobytes()
+
+    @pytest.mark.parametrize("points, match", [
+        (np.array([[0.3, 1.0]]), "at least 2"),
+        (np.array([0.1, 0.4, 0.7]), "pairs"),
+        (np.array([[0.1, 0.0, 1.0], [0.4, 1.0, 2.0]]), "pairs"),
+        (np.array([[0.5, 1.0], [0.5, 3.0]]), "distinct"),
+        (np.array([[0.1, np.inf], [0.4, 1.0]]), "finite"),
+    ])
+    def test_array_input_errors(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            build_dataset(points)
+
 
 class TestEvaluate:
     def test_line_is_reproduced(self):

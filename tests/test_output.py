@@ -1,0 +1,73 @@
+import numpy as np
+import pytest
+
+from convexreg.output import canonical_json, fmt
+
+EDGE_VALUES = [
+    0.0, -0.0, 0.1, -0.1, 1.0, -3.0, 2.0**53, 1e16, 1e22, 123456789.0,
+    5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, np.nextafter(0.0, 1.0) * 7,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    1.0 / 3.0, 2.0 / 3.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+]
+
+
+def random_payload(n, seed=0):
+    """Doubles spread over the whole exponent range, plus the edge values."""
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    out[: n // 4] = rng.random(n // 4)
+    out[n // 4: n // 2] = np.round(rng.normal(scale=1e6, size=n // 2 - n // 4))
+    bits = rng.integers(0, 2**52, size=n // 10, dtype=np.uint64)
+    out[n // 2: n // 2 + n // 10] = bits.view(np.float64)  # subnormals
+    out[-len(EDGE_VALUES):] = EDGE_VALUES
+    return out
+
+
+def assert_same_text(got, expected):
+    # a plain == on megabyte strings makes pytest build a diff for minutes
+    if got != expected:
+        i = next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
+                 min(len(got), len(expected)))
+        pytest.fail(f"texts differ at char {i}: {got[i - 40:i + 40]!r} != "
+                    f"{expected[i - 40:i + 40]!r}")
+
+
+def test_float_array_bytes_equal_per_element_path():
+    arr = random_payload(100_000)
+    assert arr.dtype == np.float64 and arr.ndim == 1
+    assert_same_text(canonical_json(arr), canonical_json(arr.tolist()))
+    assert_same_text(canonical_json({"v": arr, "w": [arr[:3]]}),
+                     canonical_json({"v": arr.tolist(), "w": [arr[:3].tolist()]}))
+
+
+def test_edge_values_print_as_fmt_does():
+    arr = np.array(EDGE_VALUES)
+    assert canonical_json(arr) == "[" + ",".join(fmt(v) for v in EDGE_VALUES) + "]"
+    assert canonical_json(np.array([-0.0, 0.1, 2.0])) == "[-0,0.10000000000000001,2]"
+    assert canonical_json(np.array([], dtype=float)) == "[]"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_in_array_raises_fmt_error(bad):
+    with pytest.raises(ValueError) as expected:
+        fmt(bad)
+    arr = np.linspace(0.0, 1.0, 50)
+    arr[17] = bad
+    arr[30] = -bad
+    with pytest.raises(ValueError) as got:
+        canonical_json(arr)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "arr, text",
+    [
+        (np.array([3, -1, 0]), "[3,-1,0]"),
+        (np.array([True, False]), "[true,false]"),
+        (np.array([[0.5, -0.0], [2.0, 0.1]]), "[[0.5,-0],[2,0.10000000000000001]]"),
+        (np.array([0.1, 2.5], dtype=np.float32), "[0.10000000149011612,2.5]"),
+    ],
+)
+def test_other_arrays_keep_per_element_output(arr, text):
+    assert canonical_json(arr) == text
+    assert canonical_json(arr.tolist()) == text
