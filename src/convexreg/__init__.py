@@ -41,7 +41,6 @@ from .simulation import (
     RateStudyResult,
     ScenarioSpec,
     boundary_inconsistency_study,
-    envelope_gap,
     generate_scenario,
     local_error_study,
     rate_study,
@@ -86,7 +85,6 @@ __all__ = [
     "RateStudyResult",
     "ScenarioSpec",
     "boundary_inconsistency_study",
-    "envelope_gap",
     "generate_scenario",
     "local_error_study",
     "rate_study",

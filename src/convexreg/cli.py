@@ -55,7 +55,10 @@ def _read_csv_columns(path, columns):
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     with fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise InputError(f"{path}: line 1: {exc}") from exc
         if header is None or [h.strip() for h in header] != list(columns):
             raise InputError(f"{path}: line 1: expected header {','.join(columns)}")
         try:
@@ -71,18 +74,23 @@ def _read_csv_columns(path, columns):
         reader = csv.reader(fh)
         next(reader)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(columns):
-                raise InputError(f"{path}: line {lineno}: expected {len(columns)} fields")
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise InputError(f"{path}: line {lineno}: non-finite value")
-            rows.append(values)
+        lineno = 1
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(columns):
+                    raise InputError(f"{path}: line {lineno}: expected {len(columns)} fields")
+                try:
+                    values = [float(v) for v in row]
+                except ValueError as exc:
+                    raise InputError(f"{path}: line {lineno}: {exc}") from exc
+                if not all(math.isfinite(v) for v in values):
+                    raise InputError(f"{path}: line {lineno}: non-finite value")
+                rows.append(values)
+        except csv.Error as exc:
+            # raised while reading the row after the last one numbered
+            raise InputError(f"{path}: line {lineno + 1}: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: no data rows")
     return np.asarray(rows)

@@ -8,6 +8,11 @@ points, and an aggregate pass/fail report.  The functions accept either a
 :class:`ConvexFit` or a raw fitted-value array, so they can also reject fits
 that were not produced by the solver.
 
+The gap process and the report's cumulative-sum conditions are views of one
+object, :func:`convexreg.solver.kkt_sums`: at design point p the gap process
+G(x_p) = sum_{i <= p} w_i (fit_i - y_i)(x_p - x_i) is exactly ``cum[p-1]``,
+and G(x_0) = 0.  Nothing here recomputes that process.
+
 Sign convention: the gap process is oriented as fitted-minus-observed, which
 makes it nonnegative across the design with zeros at the kinks exactly when
 the fit is optimal.  Residual sums (tent functional, segment sums) keep the
@@ -68,14 +73,11 @@ def g_process(dataset: Dataset, fit_or_values, config: ToleranceConfig = DEFAULT
 
     For an optimal fit G is nonnegative at every design point and vanishes at
     every kink; points violating either property (beyond the normalized
-    tolerance) are flagged.
+    tolerance) are flagged.  The values are G(x_0) = 0 followed by the
+    certificate sums of :func:`kkt_sums`.
     """
     fitted, kinks = _fit_view(dataset, fit_or_values, config)
-    x, w = dataset.x, dataset.weights
-    excess = w * (fitted - dataset.y)
-    cum_e = np.cumsum(excess)
-    cum_ex = np.cumsum(excess * x)
-    values = x * cum_e - cum_ex
+    values = np.concatenate(([0.0], kkt_sums(dataset, fitted).cum))
     tol = config.kkt_tol * certificate_scale(dataset)
     kink_idx = np.asarray(kinks, dtype=int)
     kink_values = values[kink_idx] if kink_idx.size else np.empty(0)
@@ -217,10 +219,12 @@ def characterization_report(dataset: Dataset, fit_or_values,
                             config: ToleranceConfig = DEFAULT_CONFIG) -> KktReport:
     """Check every characterization condition for any (dataset, fit) pair.
 
-    Conditions: cone membership, orthogonality of the fit to its residuals,
-    zero residual sum and zero x-weighted residual sum, nonnegative
-    cumulative gap sums with equality at kinks and at the right end, and the
-    gap process sign pattern.  Violations are normalized by
+    Conditions, in report order: ``cone`` (membership in the convex cone),
+    ``fit_residual_orthogonality``, ``residual_sum_zero`` and
+    ``x_residual_sum_zero``, then the three cumulative-sum conditions of
+    :meth:`KktSums.violations`: ``cumulative_sums_nonnegative``,
+    ``cumulative_sums_zero_at_kinks`` (kinks and the right end) and
+    ``total_mass_match``.  Violations are normalized by
     ``total_weight * (1 + max|y|)`` (orthogonality by one more response-scale
     factor) and compared against ``config.kkt_tol``.
     """
@@ -245,17 +249,8 @@ def characterization_report(dataset: Dataset, fit_or_values,
     add("residual_sum_zero", abs(np.sum(w * resid)) / scale)
     add("x_residual_sum_zero", abs(np.sum(w * x * resid)) / scale)
 
-    sums = kkt_sums(dataset, fitted)
-    cum_norm = sums.cum / scale
-    add("cumulative_sums_nonnegative", -cum_norm.min() if cum_norm.size else 0.0)
-    eq_idx = np.asarray([*(k - 1 for k in kinks), cum_norm.size - 1], dtype=int)
-    add("cumulative_sums_zero_at_kinks", np.max(np.abs(cum_norm[eq_idx])))
-    add("total_mass_match", abs(sums.total_gap) / scale)
-
-    gp = g_process(dataset, fit_or_values, config)
-    add("gap_process_nonnegative", -gp.min_value / scale)
-    add("gap_process_zero_at_kinks",
-        np.max(np.abs(gp.kink_values)) / scale if gp.kink_values.size else 0.0)
+    for name, violation in kkt_sums(dataset, fitted).violations(kinks, scale).items():
+        add(name, violation)
 
     return KktReport(
         conditions=tuple(results),

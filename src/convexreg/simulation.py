@@ -31,7 +31,7 @@ import numpy as np
 
 from .inference import argmin_estimator, boundary_diagnostics
 from .model import Dataset, evaluate, left_derivative
-from .solver import fit_convex_lse
+from .solver import certificate_scale, fit_convex_lse
 
 _STREAM_SCENARIO = 1
 _STREAM_MIX = 2
@@ -236,9 +236,13 @@ class InvelopeSample:
     (0 for the canonical problem), ``h3_at_0`` the left derivative there, and
     ``argmin_h2`` the smallest minimizer of the fitted values, all in the
     coordinates of ``domain``.  ``r = 0`` marks the zero-drift variant.
-    ``min_envelope_gap`` and ``kink_envelope_gap`` are the normalized
-    extremes of the double-cumulative envelope check (the first should be
-    >= -tol, the second ~ 0 for a certified fit).
+    ``min_envelope_gap`` and ``kink_envelope_gap`` read the fit's own
+    certificate (``SolverTrace.certificate``) with the fit report's
+    normalization ``m * (1 + max|response|)``: the smallest cumulative sum
+    and the largest absolute sum at a kink.  The first should be >= -tol,
+    the second ~ 0 for a certified fit.  On the grid, the fitted-minus-
+    response gap summed twice with steps of ``delta`` equals ``delta * 2c``
+    times these sums, because the fit runs on the grid rescaled to [0, 1].
     """
 
     r: int
@@ -253,33 +257,23 @@ class InvelopeSample:
     kink_envelope_gap: float
 
 
-def envelope_gap(responses, fitted, delta: float) -> np.ndarray:
-    """Pointwise difference between the double cumulative sums of fitted and
-    of responses, both scaled by the grid step.  Nonnegative with zeros at
-    the kinks when the fitted values are the convex projection."""
-    diff = np.asarray(fitted, dtype=float) - np.asarray(responses, dtype=float)
-    return delta * np.cumsum(delta * np.cumsum(diff))
-
-
 def _run_invelope(t, responses, delta, query, r, c):
     lo, hi = float(t[0] - 0.5 * delta), float(t[-1] + 0.5 * delta)
     width = hi - lo
     u = (t - lo) / width
     dataset = Dataset.from_arrays(u, responses)
-    fit, _ = fit_convex_lse(dataset)
+    fit, trace = fit_convex_lse(dataset)
     idx = int(np.argmin(np.abs(t - query)))
     h2 = float(fit.fitted[idx])
     h3 = left_derivative(fit, dataset, u[idx]) / width
     loc = argmin_estimator(fit, dataset).location * width + lo
-    gap = envelope_gap(responses, fit.fitted, delta)
-    scale = delta * len(t) * (1.0 + float(np.max(np.abs(responses))))
-    kink_gap = (
-        float(np.max(np.abs(gap[[k - 1 for k in fit.kinks]]))) if fit.kinks else 0.0
-    )
+    cum = trace.certificate.cum
+    scale = certificate_scale(dataset)
+    kink_gap = float(np.max(np.abs(cum[np.asarray(fit.kinks) - 1]))) if fit.kinks else 0.0
     return InvelopeSample(
         r=r, c=c, m=len(t), h2_at_0=h2, h3_at_0=h3, argmin_h2=float(loc),
         domain=(lo, hi), query_point=float(t[idx]),
-        min_envelope_gap=float(gap.min() / scale),
+        min_envelope_gap=float(cum.min() / scale),
         kink_envelope_gap=kink_gap / scale,
     )
 

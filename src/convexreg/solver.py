@@ -15,6 +15,12 @@ must be nonnegative for every p and zero at every kink and at the right end,
 and the total fitted mass must match the total response mass.  All sums carry
 the dataset weights so merged duplicate points count with their multiplicity.
 
+:func:`kkt_sums` is the only computation of this process.  The loop computes
+it once per fitted update to pick the entering index; the sums of the final
+fit are then checked by :meth:`KktSums.violations` and returned as
+``SolverTrace.certificate``.  The characterization report, the gap process
+and the invelope samples read the same object.
+
 Each solve fits the least-squares linear spline whose knots are the current
 kinks, in the hat (linear B-spline) basis: the unknowns are its values at
 x[0], the kinks and x[n-1], and the normal equations are tridiagonal.  They
@@ -56,6 +62,19 @@ class KktSums:
         c = np.asarray(self.cum, dtype=float)
         c.setflags(write=False)
         object.__setattr__(self, "cum", c)
+
+    def violations(self, kinks, scale: float) -> dict[str, float]:
+        """The three cumulative-sum conditions as violations normalized by
+        ``scale``: minus the smallest sum, the largest absolute sum at the
+        kinks and the right end, and the absolute total mass gap.  The fit
+        is optimal iff all three are zero."""
+        cum_norm = self.cum / scale
+        eq_idx = np.append(np.asarray(kinks, dtype=int) - 1, cum_norm.size - 1)
+        return {
+            "cumulative_sums_nonnegative": float(-cum_norm.min()),
+            "cumulative_sums_zero_at_kinks": float(np.max(np.abs(cum_norm[eq_idx]))),
+            "total_mass_match": abs(self.total_gap) / scale,
+        }
 
 
 @dataclass(frozen=True)
@@ -196,27 +215,6 @@ class _HingeSystem:
         return out
 
 
-def _certificate_report(dataset, fitted, kinks, kkt_tol):
-    sums = kkt_sums(dataset, fitted)
-    scale = certificate_scale(dataset)
-    cum_norm = sums.cum / scale
-    checks = {
-        "min_cum": float(cum_norm.min()) if cum_norm.size else 0.0,
-        "total_gap": abs(sums.total_gap) / scale,
-        "end_eq": abs(cum_norm[-1]) if cum_norm.size else 0.0,
-        "kink_eq": float(np.max(np.abs(cum_norm[np.asarray(kinks, dtype=int) - 1])))
-        if len(kinks)
-        else 0.0,
-    }
-    ok = (
-        checks["min_cum"] >= -kkt_tol
-        and checks["total_gap"] <= kkt_tol
-        and checks["end_eq"] <= kkt_tol
-        and checks["kink_eq"] <= kkt_tol
-    )
-    return sums, checks, ok
-
-
 def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
     """Fit the convex least-squares estimator.
 
@@ -307,11 +305,11 @@ def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
         fitted = system.fitted(kinks, coef)
         history.append(tuple(int(j) for j in kinks))
 
-    sums, checks, ok = _certificate_report(dataset, fitted, kinks, config.kkt_tol)
-    objective = _objective(dataset, fitted)
-    trace = SolverTrace(solves, tuple(history), objective, sums)
-    if not ok:
-        raise SolverError(f"certificate failed: {checks}", trace)
+    # both exits above leave `sums` computed for the final `fitted`
+    trace = SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
+    violations = sums.violations(kinks, scale)
+    if not all(v <= config.kkt_tol for v in violations.values()):
+        raise SolverError(f"certificate failed: {violations}", trace)
 
     kink_abs = config.kink_tol * dataset.response_scale
     hinge_pairs = tuple((int(j), float(b)) for j, b in zip(kinks, coef[2:]))

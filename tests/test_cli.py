@@ -165,9 +165,12 @@ def test_csv_reader_matches_line_parser(tmp_path, monkeypatch, columns, body):
         ("x,y\n0.1,1.0\n0.4,1e400\n", "line 3: non-finite value"),
         ("x,y\n\n  \n", "no data rows"),
         ("x,y", "no data rows"),
+        # the csv module refuses fields over 131072 characters
+        ("x,y\n" + "a" * 140000 + ",1\n", "line 2: field larger than field limit (131072)"),
+        ("x," + "y" * 140000 + "\n0.1,1\n", "line 1: field larger than field limit (131072)"),
     ],
     ids=["text", "field_count", "three_fields", "empty_field", "inf", "nan", "overflow",
-         "empty_body", "header_only"],
+         "empty_body", "header_only", "oversized_field", "oversized_header"],
 )
 def test_malformed_csv_messages(tmp_path, capsys, body, message):
     src = tmp_path / "bad.csv"

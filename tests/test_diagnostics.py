@@ -48,6 +48,29 @@ class TestGProcess:
             assert np.max(np.abs(gp.kink_values)) <= 1e-9 * scale
         assert not gp.flagged_points and not gp.flagged_kinks
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_direct_quadratic_evaluation(self, seed):
+        # G(x_p) = sum_{i <= p} w_i (f_i - y_i)(x_p - x_i), evaluated term by
+        # term on weighted designs built by merging duplicate abscissae
+        rng = np.random.default_rng(100 + seed)
+        n_raw = int(rng.integers(20, 80))
+        x = rng.integers(0, n_raw // 2, size=n_raw) / (n_raw // 2)
+        y = rng.standard_normal(n_raw) * rng.uniform(0.1, 10.0)
+        ds = Dataset.from_arrays(x, y)
+        assert ds.weights.max() > 1.0
+        fit, _ = fit_convex_lse(ds)
+        for fitted in (fit.fitted, rng.standard_normal(ds.n)):
+            e = ds.weights * (fitted - ds.y)
+            reference = np.array([
+                sum(e[i] * (ds.x[p] - ds.x[i]) for i in range(p + 1))
+                for p in range(ds.n)
+            ])
+            gp = g_process(ds, fitted)
+            assert gp.values.shape == (ds.n,)
+            assert gp.values[0] == 0.0
+            atol = 1e-12 * certificate_scale(ds)
+            assert np.allclose(gp.values, reference, rtol=1e-10, atol=atol)
+
     def test_flags_downward_perturbation(self):
         ds = noisy_convex_dataset(4, n=40)
         fit, _ = fit_convex_lse(ds)
@@ -173,6 +196,21 @@ class TestCharacterizationReport:
         raw = kkt_sums(ds, fit)
         shifted_raw = kkt_sums(shifted_ds, shifted_values)
         assert np.allclose(raw.cum, shifted_raw.cum, atol=1e-10)
+
+    def test_condition_names(self):
+        ds = noisy_convex_dataset(9, n=60)
+        fit, _ = fit_convex_lse(ds)
+        for values in (fit, np.zeros(ds.n)):
+            report = characterization_report(ds, values)
+            assert tuple(c.name for c in report.conditions) == (
+                "cone",
+                "fit_residual_orthogonality",
+                "residual_sum_zero",
+                "x_residual_sum_zero",
+                "cumulative_sums_nonnegative",
+                "cumulative_sums_zero_at_kinks",
+                "total_mass_match",
+            )
 
     def test_usable_to_reject_arbitrary_values(self):
         ds = random_dataset(21, n=12)

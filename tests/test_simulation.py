@@ -4,16 +4,15 @@ import pytest
 from convexreg import (
     Dataset,
     ScenarioSpec,
-    envelope_gap,
     fit_convex_lse,
     generate_scenario,
-    kkt_sums,
     rate_study,
     simulate_affine_invelope,
     simulate_invelope,
     true_mean,
 )
-from convexreg.simulation import mix_seed, DEFAULT_RATE_GRID
+from convexreg.simulation import mix_seed, rng_from_key, DEFAULT_RATE_GRID
+from convexreg.solver import certificate_scale
 
 
 class TestGenerateScenario:
@@ -139,28 +138,43 @@ class TestInvelope:
         assert np.max(np.abs(fit.fitted)) == 0.0
         assert trace.final_objective == 0.0
 
-    def test_envelope_gap_matches_certificate_sums(self):
-        # the doubly cumulated fitted-minus-response gap is the certificate
-        # prefix sum scaled by the grid step, computed through an
-        # independent arithmetic path
-        sample_seed = 3
-        m, c, r = 400, 4.0, 2
-        delta = 2 * c / m
-        t = -c + (np.arange(m) + 0.5) * delta
-        rng = np.random.default_rng(sample_seed)
-        responses = (r + 2) * (r + 1) * t**r + rng.standard_normal(m) / np.sqrt(delta)
-        ds = Dataset.from_arrays((t + c) / (2 * c), responses)
-        fit, _ = fit_convex_lse(ds)
-        gap = envelope_gap(responses, fit.fitted, delta)
-        sums = kkt_sums(ds, fit)
-        # dataset abscissae are rescaled to [0, 1], which scales each prefix
-        # term by 2c; the envelope accumulates one further factor of delta
-        rescaled = delta * 2.0 * c * sums.cum
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(gap))))
-        assert np.allclose(gap[:-1], rescaled, atol=tol)
-        # equality at the right end mirrors the certificate end condition
-        assert abs(gap[-1]) < tol
-        assert abs(gap[-2]) < tol
+    @pytest.mark.parametrize("variant", ["drift", "affine"])
+    def test_envelope_fields_match_double_cumulative_reference(self, variant):
+        # rebuild the sample's grid and responses (noise stream keys 3 and 4
+        # of the simulation module), then double-cumulate the fitted-minus-
+        # response gap on the grid with step delta; on the grid rescaled to
+        # [0, 1] this is the certificate process times 2c * delta
+        seed, m = 3, 400
+        if variant == "drift":
+            r, c = 2, 4.0
+            sample = simulate_invelope(r, c, m, seed)
+            delta = 2 * c / m
+            t = -c + (np.arange(m) + 0.5) * delta
+            eta = rng_from_key(3, r, m, seed).standard_normal(m)
+            responses = (r + 2) * (r + 1) * t**r + eta / np.sqrt(delta)
+        else:
+            sample = simulate_affine_invelope(m, seed)
+            delta = 1.0 / m
+            t = (np.arange(m) + 0.5) * delta
+            responses = rng_from_key(4, m, seed).standard_normal(m) / np.sqrt(delta)
+        lo, hi = sample.domain
+        ds = Dataset.from_arrays((t - lo) / (hi - lo), responses)
+        fit, trace = fit_convex_lse(ds)
+        assert fit.kinks
+        gap = delta * np.cumsum(delta * np.cumsum(fit.fitted - responses))
+        scale = delta * m * (1.0 + np.max(np.abs(responses))) * 2.0 * sample.c
+        reference = gap / scale
+        cum_norm = trace.certificate.cum / certificate_scale(ds)
+        # the whole process agrees, not just its extremes
+        assert np.allclose(reference[:-1], cum_norm, rtol=1e-9, atol=1e-15)
+        assert abs(reference[-1]) < 1e-15
+        kink_idx = np.asarray(fit.kinks) - 1
+        assert sample.min_envelope_gap == pytest.approx(reference.min(), abs=1e-15)
+        assert sample.kink_envelope_gap == pytest.approx(
+            np.max(np.abs(reference[kink_idx])), abs=1e-15)
+        # and the fields are read off the fit's own certificate
+        assert sample.min_envelope_gap == cum_norm.min()
+        assert sample.kink_envelope_gap == np.max(np.abs(cum_norm[kink_idx]))
 
     def test_sample_envelope_fields_certify(self):
         for seed in range(5):

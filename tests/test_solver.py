@@ -101,6 +101,26 @@ class TestCertificate:
         assert abs(cum[-1]) <= 1e-8
         assert abs(trace.certificate.total_gap) / scale <= 1e-8
 
+    def test_trace_certificate_is_the_final_kkt_sums(self):
+        # the solver certifies the sums its loop computed for the final fit
+        # and returns that object; a fresh evaluation must agree bit for bit
+        for seed in range(4):
+            ds = noisy_convex_dataset(seed, n=300)
+            fit, trace = fit_convex_lse(ds)
+            fresh = kkt_sums(ds, fit)
+            assert np.array_equal(trace.certificate.cum, fresh.cum)
+            assert trace.certificate.total_gap == fresh.total_gap
+
+    def test_failed_certificate_names_the_violated_conditions(self):
+        # a tolerance below float resolution cannot be certified
+        ds = noisy_convex_dataset(1, n=200)
+        with pytest.raises(SolverError, match="certificate failed") as info:
+            fit_convex_lse(ds, ToleranceConfig(kkt_tol=1e-300))
+        for name in ("cumulative_sums_nonnegative", "cumulative_sums_zero_at_kinks",
+                     "total_mass_match"):
+            assert f"'{name}'" in str(info.value)
+        assert info.value.trace is not None
+
     def test_first_and_last_points_never_underfit(self):
         # prefix gap at the first index and the matching suffix condition;
         # the certificate slack amplifies by 1/gap at the boundary points
