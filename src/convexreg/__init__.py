@@ -42,6 +42,7 @@ from .simulation import (
     ScenarioSpec,
     boundary_inconsistency_study,
     generate_scenario,
+    invelope_study,
     local_error_study,
     rate_study,
     simulate_affine_invelope,
@@ -86,6 +87,7 @@ __all__ = [
     "ScenarioSpec",
     "boundary_inconsistency_study",
     "generate_scenario",
+    "invelope_study",
     "local_error_study",
     "rate_study",
     "simulate_affine_invelope",

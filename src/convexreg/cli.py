@@ -3,14 +3,15 @@
 Subcommands: ``fit`` (fit a CSV of x,y and emit the certified fit),
 ``check`` (verify a supplied fit column against every characterization
 condition), ``rates`` (log-bias rate study), ``invelope`` (limit-process
-simulator), ``argmin`` (minimizer scaling study).
+simulator), ``argmin`` (minimizer scaling study), ``boundary`` (boundary
+overshoot frequencies).
 
 Exit codes: 0 success and certified / all checks passed, 1 check command
 completed with failing conditions, 2 malformed input or flags, 3 solver or
 numeric failure (a trace file is written next to the requested output).
 Every output embeds the resolved configuration including the seed; reruns
 with the same flags are byte-identical.  The environment variable
-``CONVEXREG_THREADS`` caps how many worker processes replicate loops use.
+``CONVEXREG_THREADS`` caps the worker processes of every study's replicates.
 """
 
 import argparse
@@ -26,11 +27,10 @@ from .model import Dataset, ToleranceConfig, build_dataset, evaluate, left_deriv
 from .output import canonical_json, write_csv, write_json
 from .simulation import (
     DEFAULT_RATE_GRID,
-    mix_seed,
-    rate_study,
+    boundary_inconsistency_study,
+    invelope_study,
     local_error_study,
-    simulate_affine_invelope,
-    simulate_invelope,
+    rate_study,
 )
 from .solver import SolverError, fit_convex_lse
 
@@ -107,6 +107,8 @@ def _parse_grid(text):
         raise InputError(f"bad --n-grid {text!r}: {exc}") from exc
     if not grid:
         raise InputError("empty --n-grid")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InputError(f"--n-grid must be strictly increasing, got {text!r}")
     return grid
 
 
@@ -239,29 +241,26 @@ def cmd_invelope(args) -> int:
         "m": args.m, "replicates": args.replicates, "seed": args.seed,
         "x0": args.x0, "output": args.output,
     }
-    rows = []
-    h2 = []
-    for rep in range(args.replicates):
-        child = mix_seed(args.seed, args.m, rep)
-        if args.scenario == "affine":
-            sample = simulate_affine_invelope(args.m, child, query=args.x0)
-        else:
-            sample = simulate_invelope(args.r, args.c, args.m, child)
-        rows.append(
-            (args.scenario, sample.r, sample.c, sample.m, rep, child,
-             sample.h2_at_0, sample.h3_at_0, sample.argmin_h2,
-             sample.query_point, sample.min_envelope_gap, sample.kink_envelope_gap)
-        )
-        h2.append(sample.h2_at_0)
-    h2 = np.asarray(h2)
+    if args.refine:
+        if args.replicates < 2:
+            raise InputError("--refine needs at least 2 replicates")
+        resolved["refine"] = True
+    results = invelope_study(args.scenario, args.m, args.replicates, seed=args.seed,
+                             r=args.r, c=args.c, x0=args.x0, refine=args.refine)
     base = _base_path(args.output)
     write_csv(
         base + ".csv",
         resolved,
         ("scenario", "r", "c", "m", "replicate", "seed", "h2", "h3",
          "argmin", "query_point", "min_envelope_gap", "kink_envelope_gap"),
-        rows,
+        (
+            (args.scenario, s.r, s.c, s.m, rep, child, s.h2_at_0, s.h3_at_0,
+             s.argmin_h2, s.query_point, s.min_envelope_gap, s.kink_envelope_gap)
+            for rep, child, s in results
+        ),
     )
+    h2_all = np.asarray([s.h2_at_0 for _, _, s in results])
+    h2 = h2_all[: args.replicates]
     summary = {
         "config": resolved,
         "h2_mean": float(h2.mean()),
@@ -269,10 +268,37 @@ def cmd_invelope(args) -> int:
         "h2_mean_stderr": float(h2.std(ddof=1) / math.sqrt(h2.size)) if h2.size > 1 else 0.0,
         "replicates": int(h2.size),
     }
+    lines = [f"h2 mean {summary['h2_mean']:.6f} var {summary['h2_var']:.6f} "
+             f"({h2.size} replicates)"]
+    if args.refine:
+        summary["refinement"] = _refinement(args.m, h2, h2_all[args.replicates:], lines)
     write_json(base + ".json", summary)
-    print(f"h2 mean {summary['h2_mean']:.6f} var {summary['h2_var']:.6f} "
-          f"({h2.size} replicates)")
+    print("\n".join(lines))
     return 0
+
+
+def _refinement(m, coarse, fine, lines):
+    """Mean and variance of h2 on the m vs the 2m grid against 3 combined SEs."""
+
+    def sem(v):
+        return v.std(ddof=1) / np.sqrt(v.size)
+
+    def sevar(v):
+        fourth = np.mean((v - v.mean()) ** 4)
+        return np.sqrt(max(fourth - v.var(ddof=1) ** 2, 0.0) / v.size)
+
+    out = {}
+    for label, a, b, se in (
+        ("mean", coarse.mean(), fine.mean(), np.hypot(sem(coarse), sem(fine))),
+        ("var", coarse.var(ddof=1), fine.var(ddof=1), np.hypot(sevar(coarse), sevar(fine))),
+    ):
+        out[f"{label}_diff"] = float(abs(a - b))
+        out[f"{label}_budget"] = float(3 * se)
+        verdict = "consistent" if abs(a - b) <= 3 * se else "INCONSISTENT"
+        lines.append(f"h2(0) {label}: m={m}: {a:.4f}  m={2 * m}: {b:.4f}  "
+                     f"|diff| {abs(a - b):.4f} vs 3*SE {3 * se:.4f}  [{verdict}]")
+    out["consistent"] = all(out[f"{k}_diff"] <= out[f"{k}_budget"] for k in ("mean", "var"))
+    return out
 
 
 def cmd_argmin(args) -> int:
@@ -310,6 +336,24 @@ def cmd_argmin(args) -> int:
     for n, q in table.items():
         print(f"n={n}: median|argmin err| {q['median_raw']:.5f} "
               f"scaled median {q['median_scaled']:.4f}")
+    return 0
+
+
+def cmd_boundary(args) -> int:
+    grid = _parse_grid(args.n_grid)
+    resolved = {"command": "boundary", "n_grid": list(grid), "replicates": args.replicates,
+                "epsilon": args.epsilon, "seed": args.seed, "output": args.output}
+    study = boundary_inconsistency_study(grid, args.replicates, seed=args.seed,
+                                         epsilon=args.epsilon)
+    base = _base_path(args.output)
+    write_csv(base + ".csv", resolved, ("n", "count", "replicates", "frequency"),
+              [(n, study.counts[n], study.replicates, study.frequencies[n]) for n in grid])
+    write_json(base + ".json", {"config": resolved, "counts": study.counts,
+                                "frequencies": study.frequencies})
+    print(f"model 1 - x + x^2, sigma 1, threshold (1 + {args.epsilon}) * value at 0")
+    for n in grid:
+        print(f"n={n:6d}: overshoot frequency {study.frequencies[n]:.3f} "
+              f"({study.counts[n]}/{study.replicates})")
     return 0
 
 
@@ -351,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--x0", type=float, default=0.5, help="query point for the affine variant")
+    p.add_argument("--refine", action="store_true", help="also run the 2m grid, same seeds")
     p.add_argument("--output", required=True, help="base path for .csv and .json")
     p.set_defaults(run=cmd_invelope)
 
@@ -363,6 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="base path for .csv and .json")
     p.set_defaults(run=cmd_argmin)
 
+    p = sub.add_parser("boundary", help="boundary overshoot frequency study")
+    p.add_argument("--n-grid", default="500,2000,8000")
+    p.add_argument("--replicates", type=int, default=200)
+    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", required=True, help="base path for .csv and .json")
+    p.set_defaults(run=cmd_boundary)
+
     return parser
 
 
@@ -371,10 +424,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InputError included
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -60,16 +60,18 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+# Both writers build the text before opening the file: a value that cannot be
+# serialized then raises without leaving an empty or partial file behind.
+
 def write_json(path, payload):
+    text = canonical_json(payload) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload))
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_csv(path, config, header, rows):
     """CSV with a leading '# <config json>' comment line."""
+    lines = ["# " + canonical_json(config), ",".join(header)]
+    lines += [",".join(fmt(v) for v in row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# " + canonical_json(config) + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")

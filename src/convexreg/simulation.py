@@ -6,7 +6,8 @@ center) or an affine mean.  The rate study pools log absolute bias at a query
 point against log sample size and reports the fitted slope.  The invelope
 simulators fit the convex estimator to canonical drifted-noise data on a
 uniform grid, which approximates the second and third derivatives of the
-limiting invelope process at a point.
+limiting invelope process at a point.  The local error and boundary studies
+record argmin errors and boundary overshoots per replicate.
 
 Randomness is counter-based (Philox) and keyed by entropy tuples so every
 draw is reproducible bit-for-bit and replicates can run in any order or in
@@ -18,9 +19,9 @@ parallel without changing results:
     (4, m, seed)                 zero-drift invelope noise
     (5, n, seed)                 boundary-study draws
 
-Replicate tasks are distributed over a process pool when the environment
-variable ``CONVEXREG_THREADS`` is set above 1; results are merged in task
-order, so the parallel schedule never changes the output.
+Every study maps its replicates through one helper, which runs them on a
+process pool when ``CONVEXREG_THREADS`` is set above 1; results are merged
+in task order, so the parallel schedule never changes the output.
 """
 
 import math
@@ -71,8 +72,10 @@ def thread_count() -> int:
 
 def _run_tasks(fn, tasks, threads=None):
     """Map fn over tasks, preserving order; pooled when threads > 1."""
+    if not tasks:
+        raise ValueError("need at least 1 replicate")
     workers = thread_count() if threads is None else max(1, int(threads))
-    workers = min(workers, len(tasks)) if tasks else 1
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     # imported here so serial commands (fit included) skip loading multiprocessing
@@ -314,6 +317,28 @@ def simulate_affine_invelope(m: int = 2000, seed: int = 0, query: float = 0.5) -
     eta = rng_from_key(_STREAM_FLAT_INVELOPE, m, seed).standard_normal(m)
     responses = eta / math.sqrt(delta)
     return _run_invelope(t, responses, delta, query=query, r=0, c=0.5)
+
+
+def _invelope_task(args):
+    scenario, r, c, m, replicate, seed, x0 = args
+    if scenario == "affine":
+        return replicate, seed, simulate_affine_invelope(m, seed, query=x0)
+    return replicate, seed, simulate_invelope(r, c, m, seed)
+
+
+def invelope_study(scenario: str, m: int, replicates: int, seed: int = 0, r: int = 2,
+                   c: float = 4.0, x0: float = 0.5, refine: bool = False, threads=None):
+    """``(replicate, seed, sample)`` per replicate of the drift ("vanishing")
+    or zero-drift ("affine") simulator on the m-point grid, with seed
+    ``mix_seed(seed, m, replicate)``; ``refine`` appends the same seeds drawn
+    on the 2m-point grid."""
+    seeds = [mix_seed(seed, m, rep) for rep in range(replicates)]
+    tasks = [
+        (scenario, r, c, grid, rep, child, x0)
+        for grid in ((m, 2 * m) if refine else (m,))
+        for rep, child in enumerate(seeds)
+    ]
+    return tuple(_run_tasks(_invelope_task, tasks, threads))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexreg import cli
+from convexreg import boundary_inconsistency_study, cli, simulate_invelope
 from convexreg.cli import main
 from convexreg.output import fmt
+from convexreg.simulation import mix_seed
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -202,6 +203,8 @@ def test_degenerate_design_rejected(tmp_path):
         ["invelope", "--scenario", "affine", "--m", "250", "--replicates", "3",
          "--seed", "4", "--x0", "0.25"],
         ["argmin", "--n-grid", "80,160", "--replicates", "4", "--seed", "2"],
+        ["boundary", "--n-grid", "100,200", "--replicates", "5", "--seed", "3"],
+        ["invelope", "--refine", "--m", "250", "--replicates", "3", "--seed", "4"],
     ],
 )
 def test_study_commands_rerun_byte_identical(tmp_path, argv):
@@ -214,6 +217,115 @@ def test_study_commands_rerun_byte_identical(tmp_path, argv):
     assert first == second
     assert any(name.endswith(".csv") for name in first)
     assert any(name.endswith(".json") for name in first)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invelope", "--m", "250", "--replicates", "5", "--seed", "4"],
+        ["invelope", "--scenario", "affine", "--m", "250", "--replicates", "5",
+         "--seed", "4", "--x0", "0.25"],
+        ["boundary", "--n-grid", "100,200", "--replicates", "6", "--seed", "3"],
+    ],
+    ids=["invelope_drift", "invelope_affine", "boundary"],
+)
+def test_study_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
+    artifacts = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CONVEXREG_THREADS", threads)
+        work = tmp_path / threads
+        work.mkdir()
+        monkeypatch.chdir(work)  # same relative --output, so the embedded configs agree
+        assert main(argv + ["--output", "artifact"]) == 0
+        artifacts[threads] = {p.name: p.read_bytes() for p in work.iterdir()}
+    assert sorted(artifacts["1"]) == ["artifact.csv", "artifact.json"]
+    assert artifacts["1"] == artifacts["2"]
+
+
+def _csv_records(path):
+    lines = path.read_text().splitlines()
+    header = lines[1].split(",")
+    return lines[2:], [dict(zip(header, line.split(","))) for line in lines[2:]]
+
+
+def test_invelope_refine_adds_the_doubled_grid(tmp_path):
+    flags = ["--m", "250", "--replicates", "6", "--seed", "8"]
+    assert main(["invelope", *flags, "--output", str(tmp_path / "plain")]) == 0
+    assert main(["invelope", "--refine", *flags, "--output", str(tmp_path / "refined")]) == 0
+    plain_lines, _ = _csv_records(tmp_path / "plain.csv")
+    lines, rows = _csv_records(tmp_path / "refined.csv")
+    assert lines[:6] == plain_lines
+    assert [int(r["m"]) for r in rows] == [250] * 6 + [500] * 6
+    for k, (row, fine) in enumerate(zip(rows[:6], rows[6:])):
+        assert int(row["replicate"]) == int(fine["replicate"]) == k
+        assert int(row["seed"]) == int(fine["seed"]) == mix_seed(8, 250, k)
+    assert float(rows[-1]["h2"]) == simulate_invelope(2, 4.0, 500, mix_seed(8, 250, 5)).h2_at_0
+
+    plain = json.loads((tmp_path / "plain.json").read_text())
+    refined = json.loads((tmp_path / "refined.json").read_text())
+    assert "refine" not in plain["config"] and refined["config"]["refine"] is True
+    refinement = refined.pop("refinement")
+    for blob in (plain, refined):
+        blob.pop("config")
+    assert refined == plain
+
+    coarse = np.array([float(r["h2"]) for r in rows[:6]])
+    fine = np.array([float(r["h2"]) for r in rows[6:]])
+
+    def sevar(v):
+        return np.sqrt(max(np.mean((v - v.mean()) ** 4) - v.var(ddof=1) ** 2, 0.0) / v.size)
+
+    expected = {
+        "mean_diff": abs(coarse.mean() - fine.mean()),
+        "mean_budget": 3 * np.hypot(coarse.std(ddof=1), fine.std(ddof=1)) / np.sqrt(6),
+        "var_diff": abs(coarse.var(ddof=1) - fine.var(ddof=1)),
+        "var_budget": 3 * np.hypot(sevar(coarse), sevar(fine)),
+    }
+    assert set(refinement) == set(expected) | {"consistent"}
+    for key, value in expected.items():
+        assert refinement[key] == pytest.approx(value, rel=1e-12), key
+    assert refinement["consistent"] is bool(
+        expected["mean_diff"] <= expected["mean_budget"]
+        and expected["var_diff"] <= expected["var_budget"])
+
+
+def test_boundary_command_matches_study(tmp_path, capsys):
+    out = tmp_path / "b"
+    assert main(["boundary", "--n-grid", "100,200", "--replicates", "8", "--seed", "5",
+                 "--epsilon", "0.1", "--output", str(out)]) == 0
+    study = boundary_inconsistency_study((100, 200), 8, seed=5, epsilon=0.1)
+    _, rows = _csv_records(tmp_path / "b.csv")
+    assert [(int(r["n"]), int(r["count"]), int(r["replicates"]), float(r["frequency"]))
+            for r in rows] == [(n, study.counts[n], 8, study.frequencies[n]) for n in (100, 200)]
+    summary = json.loads((tmp_path / "b.json").read_text())
+    assert summary["config"]["seed"] == 5 and summary["config"]["epsilon"] == 0.1
+    assert summary["counts"] == {str(n): c for n, c in study.counts.items()}
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1] == f"n=   100: overshoot frequency {study.frequencies[100]:.3f} " \
+                         f"({study.counts[100]}/8)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invelope", "--m", "250", "--replicates", "0"],
+        ["invelope", "--m", "250", "--replicates", "-3"],
+        ["invelope", "--refine", "--m", "250", "--replicates", "1"],
+        ["argmin", "--n-grid", "80,160", "--replicates", "0"],
+        ["boundary", "--n-grid", "100,200", "--replicates", "0"],
+        ["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "0"],
+        ["rates", "--scenario", "affine", "--n-grid", "100,100", "--replicates", "20"],
+        ["argmin", "--n-grid", "100,100", "--replicates", "2"],
+        ["boundary", "--n-grid", "200,100", "--replicates", "2"],
+    ],
+    ids=["invelope_zero", "invelope_negative", "refine_one", "argmin_zero", "boundary_zero",
+         "rates_zero", "rates_duplicate_n", "argmin_duplicate_n", "boundary_decreasing_n"],
+)
+def test_bad_study_flags_exit_2_before_writing(tmp_path, capsys, argv):
+    assert main(argv + ["--output", str(tmp_path / "artifact")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invelope_refinement_stability(tmp_path):

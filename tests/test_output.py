@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convexreg.output import canonical_json, fmt
+from convexreg.output import canonical_json, fmt, write_csv, write_json
 
 EDGE_VALUES = [
     0.0, -0.0, 0.1, -0.1, 1.0, -3.0, 2.0**53, 1e16, 1e22, 123456789.0,
@@ -71,3 +71,14 @@ def test_non_finite_in_array_raises_fmt_error(bad):
 def test_other_arrays_keep_per_element_output(arr, text):
     assert canonical_json(arr) == text
     assert canonical_json(arr.tolist()) == text
+
+
+@pytest.mark.parametrize("writer", ["json", "csv"])
+def test_non_finite_payload_leaves_no_file(tmp_path, writer):
+    path = tmp_path / f"out.{writer}"
+    with pytest.raises(ValueError, match="non-finite value in output: nan"):
+        if writer == "json":
+            write_json(path, {"ok": 1.0, "bad": [0.5, float("nan")]})
+        else:
+            write_csv(path, {"seed": 1}, ("a", "b"), [(0.5, 1.0), (2.0, float("nan"))])
+    assert not path.exists()
