@@ -28,14 +28,16 @@ from .model import (
     Dataset,
     DEFAULT_CONFIG,
     ToleranceConfig,
+    _frozen_array,
     cone_violation,
-    segment_slopes,
+    kink_indices,
 )
 from .solver import certificate_scale, kkt_sums
 
 
 def _fit_view(dataset: Dataset, fit_or_values, config: ToleranceConfig):
-    """Fitted values plus kink indices, derived for raw arrays."""
+    """Fitted values plus kink indices; a raw array gets the kinks that
+    :meth:`ConvexFit.from_values` would report for it."""
     if isinstance(fit_or_values, ConvexFit):
         if fit_or_values.n != dataset.n:
             raise ValueError("fit and dataset lengths do not match")
@@ -43,52 +45,36 @@ def _fit_view(dataset: Dataset, fit_or_values, config: ToleranceConfig):
     values = np.asarray(fit_or_values, dtype=float)
     if values.shape != dataset.x.shape:
         raise ValueError("fitted values must match the dataset length")
-    s = segment_slopes(dataset.x, values)
-    kink_abs = config.kink_tol * dataset.response_scale
-    kinks = tuple(int(i + 1) for i, d in enumerate(s[1:] - s[:-1]) if d > kink_abs)
-    return values, kinks
+    return values, kink_indices(dataset.x, values, config.kink_threshold(dataset))
 
 
 @dataclass(frozen=True)
 class GProcess:
-    """Cumulative gap process sampled at the design points."""
+    """Cumulative gap process sampled at the design points; its pass/fail
+    verdicts are those of :meth:`KktSums.violations`."""
 
     values: np.ndarray
     min_value: float
     kink_values: np.ndarray
-    flagged_points: tuple[int, ...]
-    flagged_kinks: tuple[int, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        k = np.asarray(self.kink_values, dtype=float)
-        k.setflags(write=False)
-        object.__setattr__(self, "kink_values", k)
+        object.__setattr__(self, "values", _frozen_array(self.values))
+        object.__setattr__(self, "kink_values", _frozen_array(self.kink_values))
 
 
 def g_process(dataset: Dataset, fit_or_values, config: ToleranceConfig = DEFAULT_CONFIG) -> GProcess:
     """Evaluate the gap process G(x) = sum_{x_i <= x} w_i (fit_i - y_i)(x - x_i).
 
     For an optimal fit G is nonnegative at every design point and vanishes at
-    every kink; points violating either property (beyond the normalized
-    tolerance) are flagged.  The values are G(x_0) = 0 followed by the
-    certificate sums of :func:`kkt_sums`.
+    every kink.  The values are G(x_0) = 0 followed by the certificate sums
+    of :func:`kkt_sums`.
     """
     fitted, kinks = _fit_view(dataset, fit_or_values, config)
     values = np.concatenate(([0.0], kkt_sums(dataset, fitted).cum))
-    tol = config.kkt_tol * certificate_scale(dataset)
-    kink_idx = np.asarray(kinks, dtype=int)
-    kink_values = values[kink_idx] if kink_idx.size else np.empty(0)
-    flagged_points = tuple(int(i) for i in np.flatnonzero(values < -tol))
-    flagged_kinks = tuple(int(j) for j in kink_idx[np.abs(kink_values) > tol])
     return GProcess(
         values=values,
         min_value=float(values.min()),
-        kink_values=kink_values,
-        flagged_points=flagged_points,
-        flagged_kinks=flagged_kinks,
+        kink_values=values[np.asarray(kinks, dtype=int)],
     )
 
 
@@ -219,20 +205,23 @@ def characterization_report(dataset: Dataset, fit_or_values,
                             config: ToleranceConfig = DEFAULT_CONFIG) -> KktReport:
     """Check every characterization condition for any (dataset, fit) pair.
 
-    Conditions, in report order: ``cone`` (membership in the convex cone),
-    ``fit_residual_orthogonality``, ``residual_sum_zero`` and
-    ``x_residual_sum_zero``, then the three cumulative-sum conditions of
-    :meth:`KktSums.violations`: ``cumulative_sums_nonnegative``,
-    ``cumulative_sums_zero_at_kinks`` (kinks and the right end) and
-    ``total_mass_match``.  Violations are normalized by
-    ``total_weight * (1 + max|y|)`` (orthogonality by one more response-scale
-    factor) and compared against ``config.kkt_tol``.
+    Conditions, in report order: ``cone`` (membership in the convex cone,
+    against the kink threshold), ``fit_residual_orthogonality``, then the
+    three cumulative-sum conditions of :meth:`KktSums.violations`:
+    ``cumulative_sums_nonnegative``, ``cumulative_sums_zero_at_kinks`` (kinks
+    and the right end) and ``total_mass_match``.  Violations are normalized
+    by ``total_weight * (1 + max|y|)`` (orthogonality by one more
+    response-scale factor) and compared against ``config.kkt_tol``.
+
+    The residual sums are implied (``sum w (y - f) = -total_gap``, ``sum w x
+    (y - f) = cum[-1] - x[n-1] total_gap``); orthogonality is not, since a
+    raw array, whose kinks are those of :meth:`ConvexFit.from_values`, may
+    bend below the kink threshold.
     """
     fitted, kinks = _fit_view(dataset, fit_or_values, config)
-    x, y, w = dataset.x, dataset.y, dataset.weights
+    w = dataset.weights
     tol = config.kkt_tol
     scale = certificate_scale(dataset)
-    resid = y - fitted
 
     results = []
 
@@ -240,14 +229,12 @@ def characterization_report(dataset: Dataset, fit_or_values,
         violation = float(max(0.0, violation))
         results.append(ConditionResult(name, violation <= tol, violation))
 
-    kink_abs = config.kink_tol * dataset.response_scale
-    cone_gap = cone_violation(x, fitted)
-    results.append(ConditionResult("cone", cone_gap <= kink_abs, float(max(0.0, cone_gap))))
+    cone_gap = cone_violation(dataset.x, fitted)
+    results.append(ConditionResult("cone", cone_gap <= config.kink_threshold(dataset),
+                                   float(max(0.0, cone_gap))))
 
     add("fit_residual_orthogonality",
-        abs(np.sum(w * fitted * resid)) / (scale * dataset.response_scale))
-    add("residual_sum_zero", abs(np.sum(w * resid)) / scale)
-    add("x_residual_sum_zero", abs(np.sum(w * x * resid)) / scale)
+        abs(np.sum(w * fitted * (dataset.y - fitted))) / (scale * dataset.response_scale))
 
     for name, violation in kkt_sums(dataset, fitted).violations(kinks, scale).items():
         add(name, violation)

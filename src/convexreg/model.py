@@ -34,8 +34,8 @@ class ToleranceConfig:
 
     ``kkt_tol`` applies to certificate sums normalized by
     ``total_weight * (1 + max|y|)``, which makes the default scale-free.
-    ``kink_tol`` is the slope-change threshold (same normalization) below
-    which adjacent segments are reported as a single affine piece.
+    ``kink_tol`` times ``1 + max|y|`` (no total-weight factor) is the slope
+    change below which adjacent segments are reported as one affine piece.
     ``max_iterations`` bounds the number of linear solves; ``None`` means
     ``50 * n``.
     """
@@ -54,6 +54,10 @@ class ToleranceConfig:
 
     def iteration_budget(self, n: int) -> int:
         return self.max_iterations if self.max_iterations is not None else 50 * n
+
+    def kink_threshold(self, dataset: "Dataset") -> float:
+        """Absolute slope change above which a bend is a kink."""
+        return self.kink_tol * dataset.response_scale
 
 
 DEFAULT_CONFIG = ToleranceConfig()
@@ -165,22 +169,29 @@ def piecewise_left_slopes(x, values, t):
     return s[idx]
 
 
-def cone_violation(x, values) -> float:
-    """Worst decrease of consecutive segment slopes, beyond float resolution.
-
-    Returns a nonpositive number when the value sequence is convex at the
-    resolution double precision allows for the given gaps; the allowance
-    absorbs the roundoff amplification 1/gap that divided differences incur.
-    """
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=float)
-    s = segment_slopes(x, values)
-    if s.size < 2:
-        return 0.0
-    g = np.diff(x)
+def slope_increments(x, values):
+    """Slope increments at the interior design points and their float floor
+    ``4 eps (1 + max|v|) (1/g_left + 1/g_right)``, the roundoff of the two
+    adjacent divided differences: an increment at or below it is no bend."""
+    g = np.diff(np.asarray(x, dtype=float))
     scale = 1.0 + float(np.max(np.abs(values)))
-    allowance = 4.0 * _EPS * scale * (1.0 / g[:-1] + 1.0 / g[1:])
-    return float(np.max(s[:-1] - s[1:] - allowance))
+    floor = 4.0 * _EPS * scale * (1.0 / g[:-1] + 1.0 / g[1:])
+    return np.diff(segment_slopes(x, values)), floor
+
+
+def kink_indices(x, values, threshold: float) -> tuple[int, ...]:
+    """Kinks of a value array: slope increments above floor and threshold."""
+    increments, floor = slope_increments(x, values)
+    return tuple(int(i) + 1 for i in np.flatnonzero((increments > floor) & (increments > threshold)))
+
+
+def cone_violation(x, values) -> float:
+    """Worst decrease of consecutive segment slopes beyond their float floor:
+    nonpositive when the values are convex at double-precision resolution."""
+    if np.size(x) < 3:
+        return 0.0
+    increments, floor = slope_increments(x, values)
+    return float(np.max(-increments - floor))
 
 
 @dataclass(frozen=True)
@@ -225,22 +236,15 @@ class ConvexFit:
         values = np.asarray(values, dtype=float)
         if values.shape != dataset.x.shape:
             raise ValueError("fitted values must match the dataset length")
-        kink_abs = config.kink_tol * dataset.response_scale
+        kink_abs = config.kink_threshold(dataset)
         if cone_violation(dataset.x, values) > kink_abs:
             raise ValueError("values are not convex over the design")
         x = dataset.x
         s = segment_slopes(x, values)
-        increments = s[1:] - s[:-1]
-        g = np.diff(x)
-        vscale = 1.0 + float(np.max(np.abs(values)))
-        floor = 4.0 * _EPS * vscale * (1.0 / g[:-1] + 1.0 / g[1:])
-        hinges = [
-            (i + 1, float(d)) for i, d in enumerate(increments) if d > floor[i]
-        ]
-        kinks = tuple(j for j, d in hinges if d > kink_abs)
+        hinges = [(j, float(s[j] - s[j - 1])) for j in kink_indices(x, values, 0.0)]
         return cls(
             fitted=values,
-            kinks=kinks,
+            kinks=kink_indices(x, values, kink_abs),
             intercept=float(values[0] - s[0] * x[0]),
             base_slope=float(s[0]),
             hinge_coeffs=tuple(hinges),

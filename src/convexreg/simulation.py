@@ -183,6 +183,14 @@ def pooled_log_slope(log_n, log_bias):
     return slope, stderr
 
 
+def _study_grid(n_grid) -> list[int]:
+    """Study sample sizes: non-empty and strictly increasing, as ints."""
+    grid = [int(n) for n in n_grid]
+    if not grid or any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+        raise ValueError(f"n_grid must be non-empty and strictly increasing, got {grid}")
+    return grid
+
+
 def rate_study(scenario_kind: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
                x0: float = 0.5, seed: int = 0, r: int = 4, sigma: float = 1.0,
                amplitude: float = 2.0, threads=None) -> RateStudyResult:
@@ -194,9 +202,7 @@ def rate_study(scenario_kind: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 1
     degenerate runs reach); the skip count is reported and the study raises
     when every record is skipped (e.g. sigma = 0).
     """
-    n_grid = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(n_grid[:-1], n_grid[1:])):
-        raise ValueError("n_grid must be strictly increasing")
+    n_grid = _study_grid(n_grid)
     if replicates < 20:
         raise ValueError("need at least 20 replicates")
     probe = ScenarioSpec(kind=scenario_kind, n=max(n_grid), seed=0, r=r,
@@ -394,8 +400,8 @@ def local_error_study(r: int, n_grid, replicates: int, seed: int = 0, x0: float 
     """Per-replicate pointwise value, derivative and argmin errors for the
     flat-bottomed scenario with minimum at 1/2."""
     tasks = [
-        (r, amplitude, sigma, int(n), rep, seed, x0)
-        for n in n_grid
+        (r, amplitude, sigma, n, rep, seed, x0)
+        for n in _study_grid(n_grid)
         for rep in range(replicates)
     ]
     records = _run_tasks(_local_error_task, tasks, threads)
@@ -437,13 +443,14 @@ def boundary_inconsistency_study(n_grid, replicates: int, seed: int = 0,
     value 1, so a consistent estimator would drive the frequency to zero;
     the convex fit keeps it bounded away from zero instead.
     """
+    n_grid = _study_grid(n_grid)
     tasks = [
-        (int(n), rep, seed, sigma, epsilon)
+        (n, rep, seed, sigma, epsilon)
         for n in n_grid
         for rep in range(replicates)
     ]
     rows = _run_tasks(_boundary_task, tasks, threads)
-    counts: dict[int, int] = {int(n): 0 for n in n_grid}
+    counts: dict[int, int] = {n: 0 for n in n_grid}
     for n, hit in rows:
         counts[n] += int(hit)
     freqs = {n: counts[n] / replicates for n in counts}

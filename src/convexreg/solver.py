@@ -311,7 +311,7 @@ def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
     if not all(v <= config.kkt_tol for v in violations.values()):
         raise SolverError(f"certificate failed: {violations}", trace)
 
-    kink_abs = config.kink_tol * dataset.response_scale
+    kink_abs = config.kink_threshold(dataset)
     hinge_pairs = tuple((int(j), float(b)) for j, b in zip(kinks, coef[2:]))
     fit = ConvexFit(
         fitted=fitted,

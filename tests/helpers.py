@@ -38,3 +38,15 @@ def noisy_convex_dataset(seed, n, noise=1.0):
         x = np.sort(rng.random(n))
     y = random_convex_values(x, seed + 1) + noise * rng.standard_normal(n)
     return Dataset(x=x, y=y, weights=np.ones(n))
+
+
+def near_duplicate_design(seed, n=400, copies=20):
+    """Uniform design plus ``copies`` of its points shifted right by
+    10^U(-12, -9); responses 3 (x - 1/2)^2 + 0.3 N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(n)
+    idx = rng.choice(n, copies, replace=False)
+    x = np.concatenate([x, x[idx] + 10.0 ** rng.uniform(-12.0, -9.0, copies)])
+    x = np.clip(x, 0.0, 1.0)
+    y = 3.0 * (x - 0.5) ** 2 + 0.3 * rng.standard_normal(x.size)
+    return x, y

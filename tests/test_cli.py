@@ -9,6 +9,8 @@ from convexreg.cli import main
 from convexreg.output import fmt
 from convexreg.simulation import mix_seed
 
+from helpers import near_duplicate_design
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -87,6 +89,28 @@ def test_check_round_trip_and_perturbation(tmp_path):
     assert blob["passed"] is False
     failing = [k for k, v in blob["conditions"].items() if not v["passed"]]
     assert failing  # at least one named condition pinpoints the defect
+
+
+def test_check_accepts_fit_output_on_near_duplicate_design(tmp_path, capsys):
+    x, y = near_duplicate_design(0)
+    code, out = run_fit(tmp_path, x, y)
+    assert code == 0
+    blob = json.loads(out.read_text())
+    order = np.argsort(x)
+    assert blob["x"] == x[order].tolist() and blob["weights"] == [1.0] * x.size
+    src = tmp_path / "xyf.csv"
+    with open(src, "w") as fh:
+        fh.write("x,y,fitted\n")
+        for a, b, f in zip(x[order], y[order], blob["fitted"]):
+            fh.write(f"{fmt(float(a))},{fmt(float(b))},{fmt(float(f))}\n")
+    assert main(["check", "--input", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_check_accepts_near_duplicate_fixture(capsys):
+    # `convexreg fit` output on near_duplicate_design(15, n=5, copies=1)
+    assert main(["check", "--input", str(FIXTURES / "check_near_duplicates.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):

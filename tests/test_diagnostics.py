@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convexreg import (
+    DEFAULT_CONFIG,
     ConvexFit,
     Dataset,
     characterization_report,
@@ -15,7 +16,7 @@ from convexreg import (
 from convexreg.oracle import enumerate_convex_lse
 from convexreg.solver import certificate_scale
 
-from helpers import noisy_convex_dataset, random_dataset
+from helpers import near_duplicate_design, noisy_convex_dataset, random_dataset
 
 
 def oracle_fit(dataset):
@@ -35,7 +36,8 @@ class TestGProcess:
         ds, fit = interpolating_instance()
         gp = g_process(ds, fit)
         assert np.max(np.abs(gp.values)) < 1e-10
-        assert not gp.flagged_points and not gp.flagged_kinks
+        violations = kkt_sums(ds, fit).violations(fit.kinks, certificate_scale(ds))
+        assert max(violations.values()) <= DEFAULT_CONFIG.kkt_tol
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nonnegative_and_zero_at_kinks_on_oracle_fits(self, seed):
@@ -46,7 +48,9 @@ class TestGProcess:
         assert gp.min_value >= -1e-9 * scale
         if gp.kink_values.size:
             assert np.max(np.abs(gp.kink_values)) <= 1e-9 * scale
-        assert not gp.flagged_points and not gp.flagged_kinks
+        assert np.array_equal(gp.kink_values, gp.values[list(fit.kinks)])
+        violations = kkt_sums(ds, fit).violations(fit.kinks, scale)
+        assert max(violations.values()) <= DEFAULT_CONFIG.kkt_tol
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_direct_quadratic_evaluation(self, seed):
@@ -78,7 +82,10 @@ class TestGProcess:
         dented[the_idx := len(dented) // 2] -= 0.5
         gp = g_process(ds, dented)
         assert gp.min_value < 0.0
-        assert any(i >= the_idx for i in gp.flagged_points)
+        tol = DEFAULT_CONFIG.kkt_tol * certificate_scale(ds)
+        assert any(i >= the_idx for i in np.flatnonzero(gp.values < -tol))
+        violations = kkt_sums(ds, dented).violations(fit.kinks, certificate_scale(ds))
+        assert violations["cumulative_sums_nonnegative"] > DEFAULT_CONFIG.kkt_tol
 
 
 class TestTentFunctional:
@@ -205,14 +212,49 @@ class TestCharacterizationReport:
             assert tuple(c.name for c in report.conditions) == (
                 "cone",
                 "fit_residual_orthogonality",
-                "residual_sum_zero",
-                "x_residual_sum_zero",
                 "cumulative_sums_nonnegative",
                 "cumulative_sums_zero_at_kinks",
                 "total_mass_match",
             )
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_raw_values_get_the_fit_verdicts_on_near_duplicates(self, seed):
+        # near-duplicate abscissae put slope rounding far above kink_tol; a
+        # raw array must still bend only where ConvexFit.from_values would
+        ds = Dataset.from_arrays(*near_duplicate_design(seed))
+        fit, _ = fit_convex_lse(ds)
+        assert np.diff(ds.x).min() < 1e-9
+        from_fit = characterization_report(ds, fit)
+        raw = characterization_report(ds, fit.fitted)
+        assert raw.passed
+        assert [(c.name, c.passed) for c in raw.conditions] == \
+            [(c.name, c.passed) for c in from_fit.conditions]
+        kinks = ConvexFit.from_values(ds, fit.fitted).kinks
+        assert kinks == fit.kinks
+        assert [seg.first_index for seg in segment_reports(ds, fit.fitted)] == [0, *kinks]
+
     def test_usable_to_reject_arbitrary_values(self):
         ds = random_dataset(21, n=12)
         report = characterization_report(ds, np.zeros(12))
         assert not report.passed
+
+
+class TestResidualSumIdentities:
+    # the report has no plain or x-weighted residual-sum conditions because
+    # the certificate sums determine both:
+    #   sum w (y - f) = -total_gap,  sum w x (y - f) = cum[-1] - x[n-1] total_gap
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_sums_follow_from_certificate_sums(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        x = rng.integers(0, 400, size=500) / 400
+        y = 3.0 * (x - 0.5) ** 2 + rng.uniform(0.1, 10.0) * rng.standard_normal(500)
+        ds = Dataset.from_arrays(x, y)
+        assert ds.weights.max() > 1.0
+        fit, _ = fit_convex_lse(ds)
+        raw = ds.y + np.abs(ds.y).max() * rng.standard_normal(ds.n)
+        tol = ds.n * np.finfo(float).eps * certificate_scale(ds)
+        for fitted in (fit.fitted, raw):
+            sums = kkt_sums(ds, fitted)
+            resid = ds.weights * (ds.y - fitted)
+            assert abs(np.sum(resid) + sums.total_gap) <= tol
+            assert abs(np.sum(ds.x * resid) - (sums.cum[-1] - ds.x[-1] * sums.total_gap)) <= tol

@@ -4,8 +4,10 @@ import pytest
 from convexreg import (
     Dataset,
     ScenarioSpec,
+    boundary_inconsistency_study,
     fit_convex_lse,
     generate_scenario,
+    local_error_study,
     rate_study,
     simulate_affine_invelope,
     simulate_invelope,
@@ -65,6 +67,22 @@ def test_mix_seed_is_stable_and_injective_enough():
     assert len(keys) == 100
 
 
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda grid: boundary_inconsistency_study(grid, 20, seed=20260808),
+        lambda grid: local_error_study(2, grid, 3),
+    ],
+    ids=["boundary", "local_error"],
+)
+def test_studies_reject_repeated_or_empty_grid(study):
+    # a repeated n would pool both copies under one key: a boundary frequency
+    # of 1.3 (26/20), 6 local-error records under n = 100
+    for grid in ((100, 100), (200, 100), ()):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            study(grid)
+
+
 class TestRateStudy:
     def test_all_zero_bias_raises(self):
         with pytest.raises(ValueError, match="zero bias"):
@@ -91,8 +109,6 @@ class TestRateStudy:
     def test_quartic_scaled_value_quantiles_are_tight(self):
         # the centered value error scaled by n^(4/9) keeps stable upper
         # quantiles across an n range spanning a factor of 16
-        from convexreg import local_error_study
-
         study = local_error_study(4, (1000, 4000, 16000), 60, seed=20260808)
         p95 = {
             n: float(np.quantile(n ** (4.0 / 9.0) * v, 0.95))
