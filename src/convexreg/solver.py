@@ -1,13 +1,17 @@
 """Active-set solver for the convex least-squares fit.
 
 The fit is the projection of the response vector onto the polyhedral cone of
-sequences with nondecreasing divided differences.  The solver works over
-candidate kink sets: starting from the global affine fit it repeatedly solves
-the unconstrained hinge regression on the current kink set, adds the design
-index whose cumulative certificate sum is most negative, and resolves
-feasibility by a line search toward the new coefficients, dropping hinges
-whose coefficients reach zero (most binding first).  Termination is certified
-by the cumulative-sum conditions themselves, not by the iteration path:
+sequences with nondecreasing divided differences.  The solver is the
+support-reduction algorithm of Groeneboom, Jongbloed and Wellner (Scand. J.
+Statist. 2008) with Meyer's line-search drop (Comm. Statist. Sim. Comp.
+2013).  Starting from the global affine fit it repeatedly solves the
+unconstrained hinge regression on the current kink set and enters a batch of
+violators: in every segment between consecutive nodes (x[0], the kinks,
+x[n-1]) the open design index whose cumulative certificate sum is most
+negative.  Feasibility is resolved by a line search toward the new
+coefficients, dropping hinges whose coefficients reach zero (most binding
+first).  Termination is certified by the cumulative-sum conditions
+themselves, not by the iteration path:
 
     cum[p] = sum_{k < p} (prefix_fitted_k - prefix_response_k) * (x_{k+1} - x_k)
 
@@ -16,7 +20,7 @@ and the total fitted mass must match the total response mass.  All sums carry
 the dataset weights so merged duplicate points count with their multiplicity.
 
 :func:`kkt_sums` is the only computation of this process.  The loop computes
-it once per fitted update to pick the entering index; the sums of the final
+it once per fitted update to pick the entering batch; the sums of the final
 fit are then checked by :meth:`KktSums.violations` and returned as
 ``SolverTrace.certificate``.  The characterization report, the gap process
 and the invelope samples read the same object.
@@ -27,8 +31,8 @@ x[0], the kinks and x[n-1], and the normal equations are tridiagonal.  They
 are assembled from segment moments taken in local coordinates and cached
 across solves, then solved by an O(k) Thomas sweep.  Every node is a design
 point, so the system is positive definite and needs no condition check or
-fallback.  The node values are converted to the hinge form that the line
-search and the certificate use.
+fallback.  The fitted values interpolate the node values; the hinge form
+(intercept, base slope, slope increments) drives the line search.
 """
 
 import numpy as np
@@ -41,8 +45,6 @@ from .model import (
     ToleranceConfig,
     _EPS,
 )
-
-_TIE_WINDOW = 1e-12
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,10 @@ class _HingeSystem:
             float(np.sum(wu * ys)),
         )
 
-    def solve(self, kinks: np.ndarray) -> np.ndarray:
-        """Coefficients (intercept, base slope, hinge coeffs) on a kink set."""
-        nodes = np.concatenate(([0], kinks, [self.n - 1]))
+    def solve(self, kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients (intercept, base slope, hinge coeffs) on a kink set,
+        and the spline's values at the nodes x[0], the kinks and x[n-1]."""
+        nodes = self._nodes(kinks)
         ends = nodes.tolist()
         rows = []
         for key in zip(ends, ends[1:]):
@@ -196,23 +199,17 @@ class _HingeSystem:
         coef[0] = values[0] - slopes[0] * knots[0]
         coef[1] = slopes[0]
         coef[2:] = np.diff(slopes)
-        return coef
+        return coef, values
 
-    def fitted(self, kinks: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        # forward recurrence over segments: value increments are slope * gap,
-        # so recomputed divided differences stay within local rounding even
-        # across tiny design gaps (a direct hinge-sum evaluation cancels
-        # catastrophically there)
-        slopes = np.full(self.n - 1, coef[1])
-        if kinks.size:
-            bends = np.zeros(self.n - 1)
-            bends[kinks] = coef[2:]
-            slopes += np.cumsum(bends)
-        out = np.empty(self.n)
-        out[0] = coef[0] + coef[1] * self.x[0]
-        np.cumsum(slopes * np.diff(self.x), out=out[1:])
-        out[1:] += out[0]
-        return out
+    def fitted(self, kinks: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # interpolate segment by segment from the node values: rebuilding
+        # them from the hinge form (a cumulative sum of slope increments on
+        # top of the base slope and intercept) cancels when a tiny first gap
+        # makes the base slope huge
+        return np.interp(self.x, self.x[self._nodes(kinks)], values)
+
+    def _nodes(self, kinks: np.ndarray) -> np.ndarray:
+        return np.concatenate(([0], kinks, [self.n - 1]))
 
 
 def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
@@ -222,8 +219,8 @@ def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
     cumulative-sum conditions hold within ``config.kkt_tol`` after
     normalization by ``total_weight * (1 + max|y|)``; certification failure
     raises :class:`SolverError` with the trace attached.
+    ``SolverTrace.iterations`` counts linear solves.
     """
-    x, y, w = dataset.x, dataset.y, dataset.weights
     n = dataset.n
     system = _HingeSystem(dataset)
     scale = certificate_scale(dataset)
@@ -232,77 +229,83 @@ def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
     # certificate and downstream diagnostics keep a clean margin
     stop_tol = max(min(config.kkt_tol, 1e-13), 8.0 * _EPS * n)
 
-    kinks = np.empty(0, dtype=int)
-    coeffs = np.empty(0)
     solves = 0
     history = []
 
     def resolve(current, feasible):
-        # line-search drop loop: keep hinge coefficients strictly positive
+        # line-search drop loop: keep hinge coefficients strictly positive.
+        # Every pass that does not return removes at least one index, so
+        # current.size + 1 solves always reach a feasible set.
         nonlocal solves
-        for _ in range(current.size + 2):
+        for _ in range(current.size + 1):
             if solves >= budget:
-                return None, None
+                return None
             solves += 1
-            coef = system.solve(current)
+            coef, values = system.solve(current)
             hinge = coef[2:]
             if hinge.size == 0 or hinge.min() > 0.0:
-                return current, coef
-            blocked = hinge <= 0.0
-            denom = feasible - hinge
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = np.where(blocked & (denom > 0.0), feasible / denom, np.inf)
-            steps = np.where(blocked & (denom <= 0.0), 0.0, steps)
-            alpha = float(steps.min())
-            feasible = feasible + alpha * (hinge - feasible)
-            keep = feasible > 0.0
-            keep[int(np.argmin(steps))] = False
+                return current, coef, values
+            # an entering hinge (feasible coefficient 0) that solves to <= 0
+            # would stop the line search at alpha = 0 and drop the whole
+            # batch with it: remove such hinges alone and solve again
+            keep = (feasible > 0.0) | (hinge > 0.0)
+            if keep.all():
+                blocked = np.flatnonzero(hinge <= 0.0)
+                steps = feasible[blocked] / (feasible[blocked] - hinge[blocked])
+                feasible = feasible + float(steps.min()) * (hinge - feasible)
+                keep = feasible > 0.0
+                keep[blocked[np.argmin(steps)]] = False
             current = current[keep]
             feasible = feasible[keep]
-        return None, None
+        return None
 
-    kinks, coef = resolve(kinks, coeffs)
-    if kinks is None:
+    def enter(batch):
+        at = np.searchsorted(kinks, batch)
+        return resolve(np.insert(kinks, at, batch), np.insert(coef[2:], at, 0.0))
+
+    result = resolve(np.empty(0, dtype=int), np.empty(0))
+    if result is None:
         raise SolverError("iteration budget exhausted in initial solve")
-    fitted = system.fitted(kinks, coef)
+    kinks, coef, values = result
+    fitted = system.fitted(kinks, values)
     history.append(tuple(int(j) for j in kinks))
 
-    interior = np.arange(1, n - 1)
     while True:
         sums = kkt_sums(dataset, fitted)
-        cum_norm = sums.cum / scale
-        candidates = cum_norm[: n - 2] if n > 2 else cum_norm[:0]
-        if candidates.size:
-            mask = np.ones(n - 2, dtype=bool)
-            mask[kinks - 1] = False
-            open_vals = np.where(mask, candidates, np.inf)
-            worst = float(open_vals.min())
-        else:
-            worst = 0.0
-        if worst >= -stop_tol:
+        # entry p - 1 belongs to interior design point p; kinks are closed
+        open_sums = sums.cum[: n - 2] / scale
+        open_sums[kinks - 1] = np.inf
+        violators = np.flatnonzero(open_sums < -stop_tol) + 1
+        if violators.size == 0:
             break
         if solves >= budget:
             trace = SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
             raise SolverError(
                 f"no convergence within {budget} solves "
-                f"(worst normalized violation {worst:.3e})",
+                f"(worst normalized violation {open_sums.min():.3e})",
                 trace,
             )
-        # smallest index among near-equal violations, for reproducible traces
-        entering = int(interior[np.flatnonzero(open_vals <= worst + _TIE_WINDOW)[0]])
-        pos = int(np.searchsorted(kinks, entering))
-        trial = np.insert(kinks, pos, entering)
-        feasible = np.insert(coef[2:] if kinks.size else np.empty(0), pos, 0.0)
-        new_kinks, new_coef = resolve(trial, feasible)
-        if new_kinks is None:
+        # one violator per segment between nodes: the most negative sum,
+        # the smallest index on an exact tie
+        depth = open_sums[violators - 1]
+        segment = np.searchsorted(kinks, violators)
+        order = np.lexsort((violators, depth, segment))
+        lead = np.ones(order.size, dtype=bool)
+        lead[1:] = segment[order[1:]] != segment[order[:-1]]
+        batch = violators[order[lead]]
+        result = enter(batch)
+        if result is not None and batch.size > 1 and np.array_equal(result[0], kinks):
+            # the batch fell through as a whole; retry its deepest index alone
+            result = enter(batch[[np.argmin(open_sums[batch - 1])]])
+        if result is None:
             trace = SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
             raise SolverError(f"no convergence within {budget} solves", trace)
-        if new_kinks.size == kinks.size and np.array_equal(new_kinks, kinks):
+        if np.array_equal(result[0], kinks):
             # entering hinge was immediately infeasible at float resolution;
             # no strict progress is possible, certify what we have
             break
-        kinks, coef = new_kinks, new_coef
-        fitted = system.fitted(kinks, coef)
+        kinks, coef, values = result
+        fitted = system.fitted(kinks, values)
         history.append(tuple(int(j) for j in kinks))
 
     # both exits above leave `sums` computed for the final `fitted`

@@ -5,8 +5,9 @@ import numpy as np
 from convexreg import Dataset
 
 
-def random_dataset(seed, n=None, n_min=3, n_max=12, noise=1.0):
-    """Gaussian responses over a sorted uniform design with distinct points."""
+def random_dataset(seed, n=None, n_min=3, n_max=12, noise=1.0, weighted=False):
+    """Gaussian responses over a sorted uniform design with distinct points;
+    ``weighted`` draws weights from U(0.2, 5) instead of ones."""
     rng = np.random.default_rng(seed)
     if n is None:
         n = int(rng.integers(n_min, n_max + 1))
@@ -14,7 +15,8 @@ def random_dataset(seed, n=None, n_min=3, n_max=12, noise=1.0):
     while np.unique(x).size < n:
         x = np.sort(rng.random(n))
     y = noise * rng.standard_normal(n)
-    return Dataset(x=x, y=y, weights=np.ones(n))
+    weights = rng.uniform(0.2, 5.0, n) if weighted else np.ones(n)
+    return Dataset(x=x, y=y, weights=weights)
 
 
 def random_convex_values(x, seed, max_hinges=5):

@@ -6,6 +6,7 @@ from convexreg import (
     Dataset,
     SolverError,
     ToleranceConfig,
+    build_dataset,
     fit_convex_lse,
     kkt_sums,
 )
@@ -13,7 +14,12 @@ from convexreg.oracle import enumerate_convex_lse
 from convexreg.simulation import ScenarioSpec, generate_scenario
 from convexreg.solver import _HingeSystem, certificate_scale
 
-from helpers import noisy_convex_dataset, random_convex_values, random_dataset
+from helpers import (
+    near_duplicate_design,
+    noisy_convex_dataset,
+    random_convex_values,
+    random_dataset,
+)
 
 
 def test_noiseless_convex_data_is_its_own_fit():
@@ -32,9 +38,9 @@ def test_two_points_always_interpolated():
     assert fit.kinks == ()
 
 
-@given(st.integers(0, 10_000))
-def test_matches_enumeration_oracle(seed):
-    ds = random_dataset(seed, n_min=2, n_max=10)
+@given(st.integers(0, 10_000), st.booleans())
+def test_matches_enumeration_oracle(seed, weighted):
+    ds = random_dataset(seed, n_min=2, n_max=10, weighted=weighted)
     fit, trace = fit_convex_lse(ds)
     oracle_fitted, oracle_objective = enumerate_convex_lse(ds)
     assert np.max(np.abs(fit.fitted - oracle_fitted)) < 1e-6
@@ -44,9 +50,93 @@ def test_matches_enumeration_oracle(seed):
     assert abs(sums.total_gap) < 1e-9
 
 
-def test_weighted_merge_matches_weighted_oracle():
-    from convexreg import build_dataset
+def test_noiseless_strongly_convex_fit_takes_few_solves():
+    # every interior point is a kink; entering one violator per segment per
+    # step reaches them all in a handful of steps instead of one per kink
+    x = np.linspace(0.0, 1.0, 300)
+    ds = Dataset(x=x, y=4.0 * (x - 0.5) ** 2, weights=np.ones(300))
+    fit, trace = fit_convex_lse(ds)
+    assert len(fit.kinks) == 298
+    assert np.max(np.abs(fit.fitted - ds.y)) < 1e-12
+    assert trace.iterations <= 15
 
+
+def test_batch_entry_that_solves_nonpositive_is_removed(monkeypatch):
+    # found by scanning random_dataset(seed, n, weighted=True) for n = 4..12:
+    # the smallest seed at the smallest n whose fit enters a batch, [1, 8],
+    # in which one hinge (at 1) solves nonpositive and is removed alone
+    ds = random_dataset(352, n=10, weighted=True)
+    calls = []  # (kink set, hinge coefficient by kink) per solve
+    solve = _HingeSystem.solve
+
+    def spy(self, kinks):
+        coef, values = solve(self, kinks)
+        calls.append((set(kinks.tolist()), dict(zip(kinks.tolist(), coef[2:]))))
+        return coef, values
+
+    monkeypatch.setattr(_HingeSystem, "solve", spy)
+    fit, trace = fit_convex_lse(ds)
+    removals = []
+    for (before, _), (trial, hinges), (after, _) in zip(calls, calls[1:], calls[2:]):
+        batch = trial - before
+        if before < trial and len(batch) > 1:
+            nonpositive = {j for j in batch if hinges[j] <= 0.0}
+            if nonpositive:
+                assert after == trial - nonpositive
+                removals.append(nonpositive)
+    assert removals
+    _assert_certified(ds, fit, trace)
+    oracle_fitted, oracle_objective = enumerate_convex_lse(ds)
+    assert np.max(np.abs(fit.fitted - oracle_fitted)) < 1e-6
+    assert trace.final_objective == pytest.approx(oracle_objective, rel=1e-9)
+
+
+def test_batch_that_falls_through_retries_its_deepest_index(monkeypatch):
+    # in exact arithmetic some hinge of every batch solves positive; make the
+    # first batch of two or more solve all nonpositive, as rounding could,
+    # and the step must still enter the batch's most negative index alone
+    ds = noisy_convex_dataset(0, n=200)  # its second step enters [38, 189]
+    reference, _ = fit_convex_lse(ds)
+    calls = []
+    solve = _HingeSystem.solve
+
+    def spoiled(self, kinks):
+        coef, values = solve(self, kinks)
+        before = calls[-1] if calls else set()
+        batch = set(kinks.tolist()) - before
+        calls.append(set(kinks.tolist()))
+        if len(batch) > 1 and not spoiled.done:
+            spoiled.done = True
+            for pos, j in enumerate(kinks.tolist()):
+                if j in batch:
+                    coef[2 + pos] = -abs(coef[2 + pos])
+        return coef, values
+
+    spoiled.done = False
+    monkeypatch.setattr(_HingeSystem, "solve", spoiled)
+    fit, trace = fit_convex_lse(ds)
+    step = next(i for i, (a, b) in enumerate(zip(calls, calls[1:])) if len(b - a) > 1) + 1
+    old, batch = calls[step - 1], sorted(calls[step] - calls[step - 1])
+    system = _HingeSystem(ds)
+    kinks = np.array(sorted(old))
+    sums = kkt_sums(ds, system.fitted(kinks, solve(system, kinks)[1]))
+    deepest = batch[int(np.argmin(sums.cum[np.array(batch) - 1]))]
+    assert calls[step + 1] == old
+    assert calls[step + 2] == old | {deepest}
+    _assert_certified(ds, fit, trace)
+    assert np.max(np.abs(fit.fitted - reference.fitted)) < 1e-9
+
+
+@pytest.mark.parametrize("n, seed", [(5, 0), (5, 21), (10, 4), (10, 12)])
+def test_tiny_first_gap_certifies(n, seed):
+    # the first two points sit ~1e-11 apart, so the base slope is of order
+    # 1e10; rebuilding fitted values from the hinge form cancelled there
+    ds = build_dataset(zip(*near_duplicate_design(seed, n, copies=1)))
+    fit, trace = fit_convex_lse(ds)
+    _assert_certified(ds, fit, trace)
+
+
+def test_weighted_merge_matches_weighted_oracle():
     ds = build_dataset(
         [(0.1, 0.0), (0.2, 4.0), (0.2, 6.0), (0.45, 1.0), (0.7, -1.0), (0.9, 3.0)]
     )
@@ -240,7 +330,7 @@ def _gapped_dataset():
 )
 def test_hat_basis_solve_matches_hinge_lstsq(gapped, kinks):
     ds = _gapped_dataset() if gapped else noisy_convex_dataset(31, n=60)
-    solved = _HingeSystem(ds).solve(np.array(kinks))
+    solved, _ = _HingeSystem(ds).solve(np.array(kinks))
     reference, _ = _hinge_lstsq(ds, kinks)
     assert np.max(np.abs(solved - reference)) < 1e-8
 
@@ -250,7 +340,7 @@ def test_hat_basis_solve_on_tiny_last_segment(kinks):
     # the last segment spans a 1e-10 gap, so its hinge coefficient is of
     # order 1/gap; compare relative to the coefficient size
     ds = _gapped_dataset()
-    solved = _HingeSystem(ds).solve(np.array(kinks))
+    solved, _ = _HingeSystem(ds).solve(np.array(kinks))
     reference, _ = _hinge_lstsq(ds, kinks)
     assert np.max(np.abs(solved - reference)) < 1e-8 * np.max(np.abs(reference))
 
