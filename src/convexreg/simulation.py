@@ -20,8 +20,9 @@ parallel without changing results:
     (5, n, seed)                 boundary-study draws
 
 Every study maps its replicates through one helper, which runs them on a
-process pool when ``CONVEXREG_THREADS`` is set above 1; results are merged
-in task order, so the parallel schedule never changes the output.
+process pool in strided chunks when ``CONVEXREG_THREADS`` is set above 1;
+results are put back in task order, so the parallel schedule never changes
+the output.
 """
 
 import math
@@ -71,7 +72,14 @@ def thread_count() -> int:
 
 
 def _run_tasks(fn, tasks, threads=None):
-    """Map fn over tasks, preserving order; pooled when threads > 1."""
+    """Map fn over tasks and return the results in task order; pooled when
+    threads > 1.
+
+    The pool gets 4 strided chunks per worker: chunk j holds tasks j,
+    j + 4w, j + 8w, ...  Study grids list tasks by ascending sample size, so
+    contiguous chunks would put all the largest fits in the last chunk;
+    strided ones give every chunk the same mix.
+    """
     if not tasks:
         raise ValueError("need at least 1 replicate")
     workers = thread_count() if threads is None else max(1, int(threads))
@@ -81,8 +89,17 @@ def _run_tasks(fn, tasks, threads=None):
     # imported here so serial commands (fit included) skip loading multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    stride = 4 * workers
+    results = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        chunks = [tasks[j::stride] for j in range(stride)]
+        for j, part in enumerate(pool.map(_map_chunk, [fn] * stride, chunks)):
+            results[j::stride] = part
+    return results
+
+
+def _map_chunk(fn, chunk):
+    return [fn(t) for t in chunk]
 
 
 @dataclass(frozen=True)
@@ -117,10 +134,24 @@ class ScenarioSpec:
 def true_mean(spec: ScenarioSpec, t):
     t = np.asarray(t, dtype=float)
     if spec.kind == "vanishing":
-        out = spec.amplitude * (t - 0.5) ** spec.r
+        out = spec.amplitude * _int_power(t - 0.5, spec.r)
     else:
         out = spec.amplitude * (t - 0.5)
     return float(out) if out.ndim == 0 else out
+
+
+def _int_power(base: np.ndarray, r: int) -> np.ndarray:
+    """base**r for an integer r >= 1 by repeated squaring: a few
+    multiplications instead of libm pow per element, within about
+    r/2 ulp of the correctly rounded power."""
+    out = None
+    while True:
+        if r & 1:
+            out = base if out is None else out * base
+        r >>= 1
+        if not r:
+            return out
+        base = base * base
 
 
 def generate_scenario(spec: ScenarioSpec) -> Dataset:

@@ -8,10 +8,12 @@ Statist. 2008) with Meyer's line-search drop (Comm. Statist. Sim. Comp.
 unconstrained hinge regression on the current kink set and enters a batch of
 violators: in every segment between consecutive nodes (x[0], the kinks,
 x[n-1]) the open design index whose cumulative certificate sum is most
-negative.  Feasibility is resolved by a line search toward the new
-coefficients, dropping hinges whose coefficients reach zero (most binding
-first).  Termination is certified by the cumulative-sum conditions
-themselves, not by the iteration path:
+negative, picked for all segments at once by one segment-wise minimum
+(``np.minimum.reduceat``) over the normalized sums.  Feasibility is
+resolved by a line search toward the new coefficients, dropping hinges
+whose coefficients reach zero (most binding first).  Termination is
+certified by the cumulative-sum conditions themselves, not by the iteration
+path:
 
     cum[p] = sum_{k < p} (prefix_fitted_k - prefix_response_k) * (x_{k+1} - x_k)
 
@@ -29,10 +31,13 @@ Each solve fits the least-squares linear spline whose knots are the current
 kinks, in the hat (linear B-spline) basis: the unknowns are its values at
 x[0], the kinks and x[n-1], and the normal equations are tridiagonal.  They
 are assembled from segment moments taken in local coordinates and cached
-across solves, then solved by an O(k) Thomas sweep.  Every node is a design
-point, so the system is positive definite and needs no condition check or
-fallback.  The fitted values interpolate the node values; the hinge form
-(intercept, base slope, slope increments) drives the line search.
+across solves, then solved by an O(k) Thomas sweep.  A batch entry splits
+every segment it touches, so the new segments come in runs; each maximal
+run of consecutive uncached segments gets its moments in one vectorized
+pass over its design points.  Every node is a design point, so the system
+is positive definite and needs no condition check or fallback.  The fitted
+values interpolate the node values; the hinge form (intercept, base slope,
+slope increments) drives the line search.
 """
 
 import numpy as np
@@ -127,7 +132,12 @@ class _HingeSystem:
     the tridiagonal normal equations.  The local coordinate keeps them
     accurate on near-zero gaps, where expanding raw power sums of x cancels.
     Moments are cached by (start, end) node pair: a kink entering or leaving
-    changes at most two segments, so a solve reuses all the others.
+    changes at most two segments, so a solve reuses all the others.  The
+    segments a solve does not find in the cache are taken run by run: one
+    pass over the contiguous design points of each maximal run of
+    consecutive uncached segments, with u and v from each point's own
+    segment end nodes and the sums split at the segment offsets by
+    ``np.add.reduceat``.
 
     Each node is a design point with positive weight, so the system is
     positive definite on every kink set and there is no ill-conditioned case
@@ -142,37 +152,52 @@ class _HingeSystem:
         self.n = self.x.size
         self._moments = {}
 
-    def _segment_moments(self, start: int, end: int) -> tuple:
+    def _run_moments(self, bounds: np.ndarray) -> list:
+        """Moment rows of the consecutive segments between ``bounds`` (node
+        indices), in one pass over the design points they own."""
+        start, end = int(bounds[0]), int(bounds[-1])
         stop = end + 1 if end == self.n - 1 else end
         xs = self.x[start:stop]
         ws = self.w[start:stop]
         ys = self.y[start:stop]
-        left, right = self.x[start], self.x[end]
-        gap = right - left
-        u = (xs - left) / gap
-        v = (right - xs) / gap
+        counts = bounds[1:] - bounds[:-1]
+        counts[-1] += stop - end
+        # every point takes u and v from its own segment's end nodes
+        knots = self.x[bounds]
+        gap = np.repeat(knots[1:] - knots[:-1], counts)
+        u = xs - np.repeat(knots[:-1], counts)
+        u /= gap
+        v = np.repeat(knots[1:], counts) - xs
+        v /= gap
         wu = ws * u
         wv = ws * v
-        # elementwise products and np.sum rather than dot: no BLAS call
-        return (
-            float(np.sum(wv * v)),
-            float(np.sum(wu * v)),
-            float(np.sum(wu * u)),
-            float(np.sum(wv * ys)),
-            float(np.sum(wu * ys)),
-        )
+        terms = np.empty((5, xs.size))
+        np.multiply(wv, v, out=terms[0])
+        np.multiply(wu, v, out=terms[1])
+        np.multiply(wu, u, out=terms[2])
+        np.multiply(wv, ys, out=terms[3])
+        np.multiply(wu, ys, out=terms[4])
+        # elementwise products and add.reduceat rather than dot: no BLAS call
+        return np.add.reduceat(terms, bounds[:-1] - start, axis=1).T.tolist()
 
     def solve(self, kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients (intercept, base slope, hinge coeffs) on a kink set,
         and the spline's values at the nodes x[0], the kinks and x[n-1]."""
         nodes = self._nodes(kinks)
         ends = nodes.tolist()
-        rows = []
-        for key in zip(ends, ends[1:]):
-            row = self._moments.get(key)
-            if row is None:
-                row = self._moments[key] = self._segment_moments(*key)
-            rows.append(row)
+        keys = list(zip(ends, ends[1:]))
+        # one pass per maximal run [first, last) of consecutive uncached segments
+        runs = []
+        for seg, key in enumerate(keys):
+            if key not in self._moments:
+                if runs and runs[-1][1] == seg:
+                    runs[-1][1] = seg + 1
+                else:
+                    runs.append([seg, seg + 1])
+        for first, last in runs:
+            rows = self._run_moments(nodes[first:last + 1])
+            self._moments.update(zip(keys[first:last], rows))
+        rows = [self._moments[key] for key in keys]
         vv, uv, uu, yv, yu = zip(*rows)
         # a node gathers the u-terms of the segment ending at it and the
         # v-terms of the segment starting at it
@@ -194,11 +219,11 @@ class _HingeSystem:
             values.append(value)
         values = np.array(values[::-1])
         knots = self.x[nodes]
-        slopes = np.diff(values) / np.diff(knots)
+        slopes = (values[1:] - values[:-1]) / (knots[1:] - knots[:-1])
         coef = np.empty(nodes.size)
         coef[0] = values[0] - slopes[0] * knots[0]
         coef[1] = slopes[0]
-        coef[2:] = np.diff(slopes)
+        coef[2:] = slopes[1:] - slopes[:-1]
         return coef, values
 
     def fitted(self, kinks: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -272,11 +297,12 @@ def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
 
     while True:
         sums = kkt_sums(dataset, fitted)
-        # entry p - 1 belongs to interior design point p; kinks are closed
-        open_sums = sums.cum[: n - 2] / scale
+        # entry p - 1 belongs to design point p; kinks and x[n-1] are closed
+        open_sums = sums.cum / scale
         open_sums[kinks - 1] = np.inf
-        violators = np.flatnonzero(open_sums < -stop_tol) + 1
-        if violators.size == 0:
+        open_sums[-1] = np.inf
+        batch = _entering_batch(open_sums, system._nodes(kinks), stop_tol)
+        if batch.size == 0:
             break
         if solves >= budget:
             trace = SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
@@ -285,14 +311,6 @@ def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
                 f"(worst normalized violation {open_sums.min():.3e})",
                 trace,
             )
-        # one violator per segment between nodes: the most negative sum,
-        # the smallest index on an exact tie
-        depth = open_sums[violators - 1]
-        segment = np.searchsorted(kinks, violators)
-        order = np.lexsort((violators, depth, segment))
-        lead = np.ones(order.size, dtype=bool)
-        lead[1:] = segment[order[1:]] != segment[order[:-1]]
-        batch = violators[order[lead]]
         result = enter(batch)
         if result is not None and batch.size > 1 and np.array_equal(result[0], kinks):
             # the batch fell through as a whole; retry its deepest index alone
@@ -324,6 +342,24 @@ def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
         hinge_coeffs=hinge_pairs,
     )
     return fit, trace
+
+
+def _entering_batch(open_sums: np.ndarray, nodes: np.ndarray, stop_tol: float) -> np.ndarray:
+    """One violator per segment between consecutive nodes: the design index
+    whose normalized sum is most negative and below ``-stop_tol``, the
+    smallest index on an exact tie.
+
+    ``open_sums[p - 1]`` belongs to design point p and is +inf at the closed
+    points (the kinks and x[n-1]); segment s owns the entries from
+    ``nodes[s]`` up to, not including, ``nodes[s + 1]``.
+    """
+    depth = np.minimum.reduceat(open_sums, nodes[:-1])
+    at_depth = np.flatnonzero(open_sums == np.repeat(depth, nodes[1:] - nodes[:-1]))
+    segment = np.searchsorted(nodes, at_depth, side="right") - 1
+    first = np.ones(at_depth.size, dtype=bool)
+    first[1:] = segment[1:] != segment[:-1]
+    pick = first & (depth[segment] < -stop_tol)
+    return at_depth[pick] + 1
 
 
 def _objective(dataset: Dataset, fitted: np.ndarray) -> float:

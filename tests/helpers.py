@@ -52,3 +52,41 @@ def near_duplicate_design(seed, n=400, copies=20):
     x = np.clip(x, 0.0, 1.0)
     y = 3.0 * (x - 0.5) ** 2 + 0.3 * rng.standard_normal(x.size)
     return x, y
+
+
+def near_duplicate_dataset(seed, n, min_exponent=-11.0):
+    """Weighted uniform design on which about a third of the points get a
+    partner 10^U(min_exponent, -8) to their right; Gaussian responses."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 0.99, n))
+    partners = x[rng.random(n) < 1 / 3] + 10.0 ** rng.uniform(min_exponent, -8.0)
+    x = np.unique(np.concatenate([x, partners]))
+    weights = rng.uniform(0.2, 5.0, x.size)
+    return Dataset(x=x, y=rng.standard_normal(x.size), weights=weights)
+
+
+def segment_moments(dataset, start, end):
+    """Hat-basis moments (w v^2, w u v, w u^2, w y v, w y u) of the segment
+    between nodes ``start`` and ``end``, one ``np.sum`` per moment; the last
+    segment also owns x[n-1]."""
+    stop = end + 1 if end == dataset.n - 1 else end
+    xs, ys, ws = (a[start:stop] for a in (dataset.x, dataset.y, dataset.weights))
+    left, right = dataset.x[start], dataset.x[end]
+    u = (xs - left) / (right - left)
+    v = (right - xs) / (right - left)
+    return tuple(float(np.sum(ws * a * b)) for a, b in
+                 ((v, v), (u, v), (u, u), (v, ys), (u, ys)))
+
+
+def lexsort_batch(open_sums, kinks, stop_tol):
+    """Entering batch by sorting every open violator: per segment between
+    kinks, the most negative sum below ``-stop_tol``, the smallest index on
+    an exact tie.  ``open_sums[p - 1]`` belongs to design point p and is
+    +inf at the kinks."""
+    violators = np.flatnonzero(open_sums < -stop_tol) + 1
+    depth = open_sums[violators - 1]
+    segment = np.searchsorted(kinks, violators)
+    order = np.lexsort((violators, depth, segment))
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = segment[order[1:]] != segment[order[:-1]]
+    return violators[order[lead]]

@@ -13,7 +13,13 @@ from convexreg import (
     simulate_invelope,
     true_mean,
 )
-from convexreg.simulation import mix_seed, rng_from_key, DEFAULT_RATE_GRID
+from convexreg.simulation import (
+    DEFAULT_RATE_GRID,
+    _int_power,
+    _run_tasks,
+    mix_seed,
+    rng_from_key,
+)
 from convexreg.solver import certificate_scale
 
 
@@ -45,6 +51,19 @@ class TestGenerateScenario:
         spec = ScenarioSpec(kind="vanishing", n=10, seed=0, r=2, amplitude=3.0)
         assert true_mean(spec, 0.5) == 0.0
         assert true_mean(spec, 1.0) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_integer_power_matches_pow(self, r):
+        # repeated squaring carries at most r - 1 roundings, pow about one
+        base = np.random.default_rng(r).random(3700) - 0.5
+        power = _int_power(base, r)
+        assert np.all(np.abs(power - base**r) <= 0.5 * r * np.finfo(float).eps * np.abs(base**r))
+        if r == 2:
+            assert np.array_equal(power, np.square(base))
+        if r % 2 == 0:
+            spec = ScenarioSpec(kind="vanishing", n=10, seed=0, r=r, amplitude=3.0)
+            assert np.array_equal(true_mean(spec, base + 0.5), 3.0 * _int_power(base, r))
+            assert true_mean(spec, 0.0) == 3.0 * 0.5**r
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -220,6 +239,13 @@ def test_thread_pool_matches_serial(monkeypatch):
     monkeypatch.setenv("CONVEXREG_THREADS", "2")
     pooled = rate_study("affine", n_grid=(50, 120), replicates=20, seed=5)
     assert serial == pooled
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 200])
+def test_pooled_results_come_back_in_task_order(count):
+    # 2 workers make 8 strided chunks, so counts below 8 leave some empty
+    tasks = list(range(count))
+    assert _run_tasks(str, tasks, threads=2) == [str(t) for t in tasks]
 
 
 def test_default_grid_shape():

@@ -12,13 +12,16 @@ from convexreg import (
 )
 from convexreg.oracle import enumerate_convex_lse
 from convexreg.simulation import ScenarioSpec, generate_scenario
-from convexreg.solver import _HingeSystem, certificate_scale
+from convexreg.solver import _HingeSystem, _entering_batch, certificate_scale
 
 from helpers import (
+    lexsort_batch,
+    near_duplicate_dataset,
     near_duplicate_design,
     noisy_convex_dataset,
     random_convex_values,
     random_dataset,
+    segment_moments,
 )
 
 
@@ -134,6 +137,46 @@ def test_tiny_first_gap_certifies(n, seed):
     ds = build_dataset(zip(*near_duplicate_design(seed, n, copies=1)))
     fit, trace = fit_convex_lse(ds)
     _assert_certified(ds, fit, trace)
+    oracle_fitted, oracle_objective = enumerate_convex_lse(ds)
+    assert np.max(np.abs(fit.fitted - oracle_fitted)) < 1e-6
+    assert trace.final_objective == pytest.approx(oracle_objective, rel=1e-9)
+
+
+def _kink_set(rng, n):
+    return np.sort(rng.choice(np.arange(1, n - 1), int(rng.integers(0, n - 1)), replace=False))
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["plain", "weighted", "near_duplicate"]))
+def test_run_pass_moments_match_per_segment_sums(seed, design):
+    if design == "near_duplicate":
+        ds = near_duplicate_dataset(seed, n=int(np.random.default_rng(seed).integers(3, 60)))
+    else:
+        ds = random_dataset(seed, n_min=3, n_max=80, weighted=design == "weighted")
+    abs_ds = Dataset(x=ds.x, y=np.abs(ds.y), weights=ds.weights)
+    rng = np.random.default_rng(seed + 1)
+    system = _HingeSystem(ds)
+    # the second kink set shares some segments with the first, so its solve
+    # computes runs of new segments between cached ones
+    for _ in range(2):
+        system.solve(_kink_set(rng, ds.n))
+    for (start, end), row in system._moments.items():
+        reference = segment_moments(ds, start, end)
+        magnitude = segment_moments(abs_ds, start, end)
+        assert np.all(np.abs(np.subtract(row, reference)) <= 1e-12 * np.array(magnitude))
+
+
+@given(st.integers(0, 10_000), st.integers(2, 60))
+def test_entering_batch_matches_lexsort_rule(seed, n):
+    # sums on a coarse integer lattice, so most segments hold exact ties
+    rng = np.random.default_rng(seed)
+    kinks = _kink_set(rng, n)
+    open_sums = rng.integers(-4, 3, n - 1) * 0.5
+    open_sums[kinks - 1] = np.inf
+    open_sums[-1] = np.inf
+    stop_tol = float(rng.choice([0.0, 0.5, 1.0]))
+    nodes = np.concatenate(([0], kinks, [n - 1]))
+    expected = lexsort_batch(open_sums[: n - 2], kinks, stop_tol)
+    assert np.array_equal(_entering_batch(open_sums, nodes, stop_tol), expected)
 
 
 def test_weighted_merge_matches_weighted_oracle():
