@@ -6,10 +6,10 @@ rate-of-convergence and limit-process studies.
 """
 
 from .model import (
+    KINK_TOL,
+    KKT_TOL,
     ConvexFit,
     Dataset,
-    DEFAULT_CONFIG,
-    ToleranceConfig,
     build_dataset,
     evaluate,
     hinge_representation,
@@ -55,8 +55,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvexFit",
     "Dataset",
-    "DEFAULT_CONFIG",
-    "ToleranceConfig",
+    "KINK_TOL",
+    "KKT_TOL",
     "build_dataset",
     "evaluate",
     "hinge_representation",

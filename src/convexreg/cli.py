@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from .diagnostics import characterization_report
-from .model import Dataset, ToleranceConfig, build_dataset, evaluate, left_derivative
+from .model import KINK_TOL, KKT_TOL, Dataset, build_dataset, evaluate, left_derivative
 from .output import canonical_json, write_csv, write_json
 from .simulation import (
     DEFAULT_RATE_GRID,
@@ -96,10 +96,6 @@ def _read_csv_columns(path, columns):
     return np.asarray(rows)
 
 
-def _tolerance(args) -> ToleranceConfig:
-    return ToleranceConfig(kkt_tol=args.tol) if args.tol is not None else ToleranceConfig()
-
-
 def _parse_grid(text):
     try:
         return tuple(int(v) for v in text.split(",") if v.strip())
@@ -120,17 +116,16 @@ def cmd_fit(args) -> int:
         dataset = build_dataset(data)
     except ValueError as exc:
         raise InputError(f"{args.input}: {exc}") from exc
-    config = _tolerance(args)
     base = _base_path(args.output)
     resolved = {
         "command": "fit",
         "input": args.input,
         "output": args.output,
-        "tol": config.kkt_tol,
-        "kink_tol": config.kink_tol,
+        "tol": args.tol,
+        "kink_tol": KINK_TOL,
     }
     try:
-        fit, trace = fit_convex_lse(dataset, config)
+        fit, trace = fit_convex_lse(dataset, args.tol)
     except SolverError as exc:
         trace_path = base + ".trace.json"
         payload = {"config": resolved, "error": str(exc)}
@@ -141,7 +136,7 @@ def cmd_fit(args) -> int:
         write_json(trace_path, payload)
         print(f"solver failure, trace written to {trace_path}: {exc}", file=sys.stderr)
         return 3
-    report = characterization_report(dataset, fit, config)
+    report = characterization_report(dataset, fit, args.tol)
     write_json(
         base + ".json",
         {
@@ -181,11 +176,10 @@ def cmd_check(args) -> int:
         dataset = Dataset(x=data[:, 0], y=data[:, 1], weights=np.ones(len(data)))
     except ValueError as exc:
         raise InputError(f"{args.input}: {exc}") from exc
-    config = _tolerance(args)
-    report = characterization_report(dataset, data[:, 2], config)
+    report = characterization_report(dataset, data[:, 2], args.tol)
     payload = {
-        "config": {"command": "check", "input": args.input, "tol": config.kkt_tol,
-                   "kink_tol": config.kink_tol},
+        "config": {"command": "check", "input": args.input, "tol": args.tol,
+                   "kink_tol": KINK_TOL},
         "passed": report.passed,
         "scale": report.scale,
         "conditions": {c.name: {"passed": c.passed, "worst": c.worst}
@@ -362,13 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a CSV of x,y columns")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True, help="JSON path; a .curve.csv sibling is written")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=KKT_TOL)
     p.set_defaults(run=cmd_fit)
 
     p = sub.add_parser("check", help="verify an x,y,fitted CSV against every condition")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=KKT_TOL)
     p.set_defaults(run=cmd_check)
 
     p = sub.add_parser("rates", help="log-bias rate-of-convergence study")

@@ -24,10 +24,9 @@ import numpy as np
 from dataclasses import dataclass
 
 from .model import (
+    KKT_TOL,
     ConvexFit,
     Dataset,
-    DEFAULT_CONFIG,
-    ToleranceConfig,
     _frozen_array,
     cone_violation,
     kink_indices,
@@ -35,7 +34,7 @@ from .model import (
 from .solver import certificate_scale, kkt_sums
 
 
-def _fit_view(dataset: Dataset, fit_or_values, config: ToleranceConfig):
+def _fit_view(dataset: Dataset, fit_or_values):
     """Fitted values plus kink indices; a raw array gets the kinks that
     :meth:`ConvexFit.from_values` would report for it."""
     if isinstance(fit_or_values, ConvexFit):
@@ -45,7 +44,7 @@ def _fit_view(dataset: Dataset, fit_or_values, config: ToleranceConfig):
     values = np.asarray(fit_or_values, dtype=float)
     if values.shape != dataset.x.shape:
         raise ValueError("fitted values must match the dataset length")
-    return values, kink_indices(dataset.x, values, config.kink_threshold(dataset))
+    return values, kink_indices(dataset.x, values, dataset.kink_threshold)
 
 
 @dataclass(frozen=True)
@@ -62,14 +61,14 @@ class GProcess:
         object.__setattr__(self, "kink_values", _frozen_array(self.kink_values))
 
 
-def g_process(dataset: Dataset, fit_or_values, config: ToleranceConfig = DEFAULT_CONFIG) -> GProcess:
+def g_process(dataset: Dataset, fit_or_values) -> GProcess:
     """Evaluate the gap process G(x) = sum_{x_i <= x} w_i (fit_i - y_i)(x - x_i).
 
     For an optimal fit G is nonnegative at every design point and vanishes at
     every kink.  The values are G(x_0) = 0 followed by the certificate sums
     of :func:`kkt_sums`.
     """
-    fitted, kinks = _fit_view(dataset, fit_or_values, config)
+    fitted, kinks = _fit_view(dataset, fit_or_values)
     values = np.concatenate(([0.0], kkt_sums(dataset, fitted).cum))
     return GProcess(
         values=values,
@@ -85,8 +84,7 @@ def tent_weight(u: float, v: float, x):
     return 1.0 - np.maximum(2.0 - (4.0 / (v - u)) * np.abs(x - 0.5 * (u + v)), 0.0)
 
 
-def tent_functional(dataset: Dataset, fit_or_values, u: float, v: float,
-                    config: ToleranceConfig = DEFAULT_CONFIG) -> float:
+def tent_functional(dataset: Dataset, fit_or_values, u: float, v: float) -> float:
     """Average residual against the tent perturbation over [u, v].
 
     Nonpositive whenever u < v are both kinks of an optimal fit; for other
@@ -96,7 +94,7 @@ def tent_functional(dataset: Dataset, fit_or_values, u: float, v: float,
         raise ValueError("need u < v")
     if u < 0.0 or v > 1.0:
         raise ValueError("u and v must lie in [0, 1]")
-    fitted, _ = _fit_view(dataset, fit_or_values, config)
+    fitted, _ = _fit_view(dataset, fit_or_values)
     resid = dataset.y - fitted
     f = tent_weight(u, v, dataset.x)
     return float(np.sum(dataset.weights * f * resid) / dataset.total_weight)
@@ -126,32 +124,18 @@ class SegmentReport:
     ols_slope: float
     sup_gap: float
     gap_bound: float
-    note: str = ""
 
 
-def segment_reports(dataset: Dataset, fit_or_values,
-                    config: ToleranceConfig = DEFAULT_CONFIG) -> list[SegmentReport]:
+def segment_reports(dataset: Dataset, fit_or_values) -> list[SegmentReport]:
     """One report per maximal affine piece of the fit (kink-to-kink runs,
-    boundary pieces included).  Pieces with fewer than two design points are
-    skipped with a note entry."""
-    fitted, kinks = _fit_view(dataset, fit_or_values, config)
+    boundary pieces included); every piece spans at least two design
+    points."""
+    fitted, kinks = _fit_view(dataset, fit_or_values)
     x, y, w = dataset.x, dataset.y, dataset.weights
     resid = y - fitted
     boundaries = [0, *kinks, dataset.n - 1]
     reports = []
     for k1, k2 in zip(boundaries[:-1], boundaries[1:]):
-        if k2 - k1 < 1:
-            reports.append(
-                SegmentReport(
-                    u=float(x[k1]), v=float(x[k2]), first_index=k1, last_index=k2,
-                    t1=0.0, t2=0.0, open_t1=0.0, open_t2=0.0,
-                    endpoint_resid_u=0.0, endpoint_resid_v=0.0,
-                    ols_intercept=np.nan, ols_slope=np.nan,
-                    sup_gap=np.nan, gap_bound=np.nan,
-                    note="skipped: fewer than 2 design points",
-                )
-            )
-            continue
         sl = slice(k1, k2 + 1)
         xw, yw, ww, rw = x[sl], y[sl], w[sl], resid[sl]
         wt = ww.sum()
@@ -202,7 +186,7 @@ class KktReport:
 
 
 def characterization_report(dataset: Dataset, fit_or_values,
-                            config: ToleranceConfig = DEFAULT_CONFIG) -> KktReport:
+                            kkt_tol: float = KKT_TOL) -> KktReport:
     """Check every characterization condition for any (dataset, fit) pair.
 
     Conditions, in report order: ``cone`` (membership in the convex cone,
@@ -211,26 +195,27 @@ def characterization_report(dataset: Dataset, fit_or_values,
     ``cumulative_sums_nonnegative``, ``cumulative_sums_zero_at_kinks`` (kinks
     and the right end) and ``total_mass_match``.  Violations are normalized
     by ``total_weight * (1 + max|y|)`` (orthogonality by one more
-    response-scale factor) and compared against ``config.kkt_tol``.
+    response-scale factor) and compared against ``kkt_tol``.
 
     The residual sums are implied (``sum w (y - f) = -total_gap``, ``sum w x
     (y - f) = cum[-1] - x[n-1] total_gap``); orthogonality is not, since a
     raw array, whose kinks are those of :meth:`ConvexFit.from_values`, may
     bend below the kink threshold.
     """
-    fitted, kinks = _fit_view(dataset, fit_or_values, config)
+    if not (kkt_tol > 0.0):
+        raise ValueError("kkt_tol must be strictly positive")
+    fitted, kinks = _fit_view(dataset, fit_or_values)
     w = dataset.weights
-    tol = config.kkt_tol
     scale = certificate_scale(dataset)
 
     results = []
 
     def add(name, violation):
         violation = float(max(0.0, violation))
-        results.append(ConditionResult(name, violation <= tol, violation))
+        results.append(ConditionResult(name, violation <= kkt_tol, violation))
 
     cone_gap = cone_violation(dataset.x, fitted)
-    results.append(ConditionResult("cone", cone_gap <= config.kink_threshold(dataset),
+    results.append(ConditionResult("cone", cone_gap <= dataset.kink_threshold,
                                    float(max(0.0, cone_gap))))
 
     add("fit_residual_orthogonality",

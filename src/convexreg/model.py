@@ -16,6 +16,8 @@ linearly.  All types are frozen and all functions are pure, so values can be
 shared freely across threads.
 """
 
+import operator
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -28,39 +30,12 @@ def _frozen_array(values, dtype=float):
     return out
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical knobs shared by the solver and the diagnostics.
-
-    ``kkt_tol`` applies to certificate sums normalized by
-    ``total_weight * (1 + max|y|)``, which makes the default scale-free.
-    ``kink_tol`` times ``1 + max|y|`` (no total-weight factor) is the slope
-    change below which adjacent segments are reported as one affine piece.
-    ``max_iterations`` bounds the number of linear solves; ``None`` means
-    ``50 * n``.
-    """
-
-    kkt_tol: float = 1e-8
-    kink_tol: float = 1e-7
-    max_iterations: int | None = None
-
-    def __post_init__(self):
-        if not (self.kkt_tol > 0.0):
-            raise ValueError("kkt_tol must be strictly positive")
-        if not (self.kink_tol > 0.0):
-            raise ValueError("kink_tol must be strictly positive")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be a positive integer")
-
-    def iteration_budget(self, n: int) -> int:
-        return self.max_iterations if self.max_iterations is not None else 50 * n
-
-    def kink_threshold(self, dataset: "Dataset") -> float:
-        """Absolute slope change above which a bend is a kink."""
-        return self.kink_tol * dataset.response_scale
-
-
-DEFAULT_CONFIG = ToleranceConfig()
+# Certificate tolerance: the cumulative-sum conditions hold within KKT_TOL
+# once normalized by ``total_weight * (1 + max|y|)``, which makes it
+# scale-free.  KINK_TOL times ``1 + max|y|`` (no total-weight factor) is the
+# slope change below which adjacent segments are reported as one affine piece.
+KKT_TOL = 1e-8
+KINK_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -103,6 +78,11 @@ class Dataset:
     def response_scale(self) -> float:
         """Scale-free normalizer 1 + max|y| used by every default tolerance."""
         return 1.0 + float(np.max(np.abs(self.y)))
+
+    @property
+    def kink_threshold(self) -> float:
+        """Absolute slope change above which a bend is a kink."""
+        return KINK_TOL * self.response_scale
 
     @classmethod
     def from_arrays(cls, x, y) -> "Dataset":
@@ -194,15 +174,27 @@ def cone_violation(x, values) -> float:
     return float(np.max(-increments - floor))
 
 
+def _interior_indices(indices, n: int, name: str) -> tuple[int, ...]:
+    """``indices`` as ints, checked strictly increasing within [1, n - 2]."""
+    try:
+        out = tuple(operator.index(k) for k in indices)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be integers") from exc
+    if any(not 1 <= k <= n - 2 for k in out) or any(a >= b for a, b in zip(out, out[1:])):
+        raise ValueError(f"{name} must be strictly increasing within [1, n - 2]")
+    return out
+
+
 @dataclass(frozen=True)
 class ConvexFit:
     """Convex piecewise-linear fit: design-point values plus hinge form.
 
-    ``kinks`` lists the interior design indices whose slope increase exceeds
-    the kink threshold used at construction; ``hinge_coeffs`` keeps every
-    strictly positive slope increment so that the hinge form reproduces
-    ``fitted`` exactly (sub-threshold increments stay in the representation
-    but are not reported as kinks).
+    ``kinks`` lists the interior design indices (strictly increasing, within
+    [1, n - 2]) whose slope increase exceeds the kink threshold;
+    ``hinge_coeffs`` keeps every strictly positive slope increment, at
+    indices of the same kind, so that the hinge form reproduces ``fitted``
+    exactly (sub-threshold increments stay in the representation but are
+    not reported as kinks).
     """
 
     fitted: np.ndarray
@@ -213,9 +205,11 @@ class ConvexFit:
 
     def __post_init__(self):
         object.__setattr__(self, "fitted", _frozen_array(self.fitted))
-        object.__setattr__(self, "kinks", tuple(int(k) for k in self.kinks))
+        object.__setattr__(self, "kinks", _interior_indices(self.kinks, self.n, "kinks"))
+        hinges = tuple(self.hinge_coeffs)
+        indices = _interior_indices([j for j, _ in hinges], self.n, "hinge indices")
         object.__setattr__(
-            self, "hinge_coeffs", tuple((int(j), float(b)) for j, b in self.hinge_coeffs)
+            self, "hinge_coeffs", tuple((j, float(b)) for j, (_, b) in zip(indices, hinges))
         )
         if any(b <= 0.0 for _, b in self.hinge_coeffs):
             raise ValueError("hinge coefficients must be strictly positive")
@@ -225,7 +219,7 @@ class ConvexFit:
         return int(self.fitted.size)
 
     @classmethod
-    def from_values(cls, dataset: Dataset, values, config: ToleranceConfig = DEFAULT_CONFIG) -> "ConvexFit":
+    def from_values(cls, dataset: Dataset, values) -> "ConvexFit":
         """Derive the hinge representation from fitted values at the design.
 
         Every slope increment above the local float-resolution floor becomes
@@ -236,7 +230,7 @@ class ConvexFit:
         values = np.asarray(values, dtype=float)
         if values.shape != dataset.x.shape:
             raise ValueError("fitted values must match the dataset length")
-        kink_abs = config.kink_threshold(dataset)
+        kink_abs = dataset.kink_threshold
         if cone_violation(dataset.x, values) > kink_abs:
             raise ValueError("values are not convex over the design")
         x = dataset.x

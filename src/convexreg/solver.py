@@ -43,13 +43,10 @@ slope increments) drives the line search.
 import numpy as np
 from dataclasses import dataclass
 
-from .model import (
-    ConvexFit,
-    Dataset,
-    DEFAULT_CONFIG,
-    ToleranceConfig,
-    _EPS,
-)
+from .model import KKT_TOL, ConvexFit, Dataset, _EPS
+
+# linear solves per design point a fit may spend
+_SOLVES_PER_POINT = 50
 
 
 @dataclass(frozen=True)
@@ -237,22 +234,24 @@ class _HingeSystem:
         return np.concatenate(([0], kinks, [self.n - 1]))
 
 
-def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
+def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
     """Fit the convex least-squares estimator.
 
     Returns ``(ConvexFit, SolverTrace)``.  The returned fit is certified: the
-    cumulative-sum conditions hold within ``config.kkt_tol`` after
-    normalization by ``total_weight * (1 + max|y|)``; certification failure
-    raises :class:`SolverError` with the trace attached.
-    ``SolverTrace.iterations`` counts linear solves.
+    cumulative-sum conditions hold within ``kkt_tol`` after normalization by
+    ``total_weight * (1 + max|y|)``; certification failure raises
+    :class:`SolverError` with the trace attached.  A fit may spend 50 linear
+    solves per design point; ``SolverTrace.iterations`` counts them.
     """
+    if not (kkt_tol > 0.0):
+        raise ValueError("kkt_tol must be strictly positive")
     n = dataset.n
     system = _HingeSystem(dataset)
     scale = certificate_scale(dataset)
-    budget = config.iteration_budget(n)
+    budget = _SOLVES_PER_POINT * n
     # stop well below kkt_tol (floored by accumulated roundoff) so the
     # certificate and downstream diagnostics keep a clean margin
-    stop_tol = max(min(config.kkt_tol, 1e-13), 8.0 * _EPS * n)
+    stop_tol = max(min(kkt_tol, 1e-13), 8.0 * _EPS * n)
 
     solves = 0
     history = []
@@ -288,10 +287,8 @@ def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
         at = np.searchsorted(kinks, batch)
         return resolve(np.insert(kinks, at, batch), np.insert(coef[2:], at, 0.0))
 
-    result = resolve(np.empty(0, dtype=int), np.empty(0))
-    if result is None:
-        raise SolverError("iteration budget exhausted in initial solve")
-    kinks, coef, values = result
+    # one solve: the budget is at least 100 and the empty set is feasible
+    kinks, coef, values = resolve(np.empty(0, dtype=int), np.empty(0))
     fitted = system.fitted(kinks, values)
     history.append(tuple(int(j) for j in kinks))
 
@@ -329,10 +326,10 @@ def fit_convex_lse(dataset: Dataset, config: ToleranceConfig = DEFAULT_CONFIG):
     # both exits above leave `sums` computed for the final `fitted`
     trace = SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
     violations = sums.violations(kinks, scale)
-    if not all(v <= config.kkt_tol for v in violations.values()):
+    if not all(v <= kkt_tol for v in violations.values()):
         raise SolverError(f"certificate failed: {violations}", trace)
 
-    kink_abs = config.kink_threshold(dataset)
+    kink_abs = dataset.kink_threshold
     hinge_pairs = tuple((int(j), float(b)) for j, b in zip(kinks, coef[2:]))
     fit = ConvexFit(
         fitted=fitted,

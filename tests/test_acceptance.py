@@ -79,7 +79,6 @@ def test_c2_characterization_suite():
         scale = ds.response_scale
         wscale = ds.total_weight * scale
         for seg in segment_reports(ds, fit):
-            assert not seg.note
             worst_segment = max(
                 worst_segment,
                 seg.t1 / wscale,

@@ -113,11 +113,36 @@ def test_check_accepts_near_duplicate_fixture(capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+def test_tol_flag_is_recorded(tmp_path):
+    out = tmp_path / "n12.json"
+    argv = ["fit", "--input", str(FIXTURES / "fit_n12.csv"), "--output", str(out),
+            "--tol", "1e-6"]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["config"]["tol"] == 1e-6
+    header = out.with_name("n12.curve.csv").read_text().splitlines()[0]
+    assert json.loads(header.removeprefix("# "))["tol"] == 1e-6
+    rep = tmp_path / "rep.json"
+    argv = ["check", "--input", str(FIXTURES / "check_near_duplicates.csv"),
+            "--output", str(rep), "--tol", "1e-6"]
+    assert main(argv) == 0
+    assert json.loads(rep.read_text())["config"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["fit", "check"])
+def test_nonpositive_tol_is_an_input_error(tmp_path, capsys, command, tol):
+    src = FIXTURES / ("fit_n12.csv" if command == "fit" else "check_near_duplicates.csv")
+    out = tmp_path / "out.json"
+    assert main([command, "--input", str(src), "--output", str(out), "--tol", tol]) == 2
+    assert "input error: kkt_tol must be strictly positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     import convexreg.cli as cli_mod
     from convexreg.solver import SolverError
 
-    def boom(dataset, config):
+    def boom(dataset, kkt_tol):
         raise SolverError("forced failure")
 
     monkeypatch.setattr(cli_mod, "fit_convex_lse", boom)

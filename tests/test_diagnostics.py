@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from convexreg import (
-    DEFAULT_CONFIG,
+    KKT_TOL,
     ConvexFit,
     Dataset,
     characterization_report,
@@ -37,7 +37,7 @@ class TestGProcess:
         gp = g_process(ds, fit)
         assert np.max(np.abs(gp.values)) < 1e-10
         violations = kkt_sums(ds, fit).violations(fit.kinks, certificate_scale(ds))
-        assert max(violations.values()) <= DEFAULT_CONFIG.kkt_tol
+        assert max(violations.values()) <= KKT_TOL
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nonnegative_and_zero_at_kinks_on_oracle_fits(self, seed):
@@ -50,7 +50,7 @@ class TestGProcess:
             assert np.max(np.abs(gp.kink_values)) <= 1e-9 * scale
         assert np.array_equal(gp.kink_values, gp.values[list(fit.kinks)])
         violations = kkt_sums(ds, fit).violations(fit.kinks, scale)
-        assert max(violations.values()) <= DEFAULT_CONFIG.kkt_tol
+        assert max(violations.values()) <= KKT_TOL
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_direct_quadratic_evaluation(self, seed):
@@ -82,10 +82,10 @@ class TestGProcess:
         dented[the_idx := len(dented) // 2] -= 0.5
         gp = g_process(ds, dented)
         assert gp.min_value < 0.0
-        tol = DEFAULT_CONFIG.kkt_tol * certificate_scale(ds)
+        tol = KKT_TOL * certificate_scale(ds)
         assert any(i >= the_idx for i in np.flatnonzero(gp.values < -tol))
         violations = kkt_sums(ds, dented).violations(fit.kinks, certificate_scale(ds))
-        assert violations["cumulative_sums_nonnegative"] > DEFAULT_CONFIG.kkt_tol
+        assert violations["cumulative_sums_nonnegative"] > KKT_TOL
 
 
 class TestTentFunctional:
@@ -136,7 +136,6 @@ class TestSegmentReports:
         fit = oracle_fit(ds)
         tol = 1e-9 * certificate_scale(ds)
         for seg in segment_reports(ds, fit):
-            assert not seg.note
             assert seg.t1 <= tol
             assert seg.t2 <= tol
             assert seg.open_t1 >= -tol
@@ -164,8 +163,7 @@ class TestSegmentReports:
             for rep in range(30):
                 ds = generate_scenario(ScenarioSpec(kind="affine", n=n, seed=7000 + rep))
                 fit, _ = fit_convex_lse(ds)
-                segs = [s for s in segment_reports(ds, fit)
-                        if not s.note and s.v - s.u >= 0.15]
+                segs = [s for s in segment_reports(ds, fit) if s.v - s.u >= 0.15]
                 if segs:
                     gaps.append(max(s.sup_gap for s in segs))
             medians.append(float(np.median(gaps)))
@@ -232,6 +230,13 @@ class TestCharacterizationReport:
         kinks = ConvexFit.from_values(ds, fit.fitted).kinks
         assert kinks == fit.kinks
         assert [seg.first_index for seg in segment_reports(ds, fit.fitted)] == [0, *kinks]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_tolerance(self, tol):
+        ds = noisy_convex_dataset(9, n=20)
+        fit, _ = fit_convex_lse(ds)
+        with pytest.raises(ValueError, match="kkt_tol must be strictly positive"):
+            characterization_report(ds, fit, kkt_tol=tol)
 
     def test_usable_to_reject_arbitrary_values(self):
         ds = random_dataset(21, n=12)

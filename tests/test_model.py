@@ -184,6 +184,23 @@ class TestHingeRepresentation:
         with pytest.raises(ValueError, match="convex"):
             ConvexFit.from_values(ds, np.array([0.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("kinks", [(0,), (5,), (2, 2), (4, 2), (0, 9), (2.0,)])
+    def test_rejects_kinks_outside_the_interior_or_out_of_order(self, kinks):
+        # n = 6: the interior design indices are 1..4
+        with pytest.raises(ValueError, match="kinks"):
+            ConvexFit(fitted=np.zeros(6), kinks=kinks, intercept=0.0,
+                      base_slope=0.0, hinge_coeffs=())
+        hinges = tuple((j, 1.0) for j in kinks)
+        with pytest.raises(ValueError, match="hinge indices"):
+            ConvexFit(fitted=np.zeros(6), kinks=(), intercept=0.0,
+                      base_slope=0.0, hinge_coeffs=hinges)
+
+    def test_accepts_interior_increasing_kinks(self):
+        fit = ConvexFit(fitted=np.zeros(6), kinks=(np.int64(1), 4), intercept=0.0,
+                        base_slope=0.0, hinge_coeffs=((1, 1.0), (np.int64(4), 2.0)))
+        assert fit.kinks == (1, 4) and fit.hinge_coeffs == ((1, 1.0), (4, 2.0))
+        assert all(type(j) is int for j in (*fit.kinks, *(j for j, _ in fit.hinge_coeffs)))
+
     def test_rejects_nonpositive_hinge_coefficients(self):
         with pytest.raises(ValueError, match="positive"):
             ConvexFit(fitted=np.zeros(3), kinks=(1,), intercept=0.0,

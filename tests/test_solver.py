@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 from convexreg import (
     Dataset,
     SolverError,
-    ToleranceConfig,
     build_dataset,
     fit_convex_lse,
     kkt_sums,
 )
+from convexreg import solver
 from convexreg.oracle import enumerate_convex_lse
 from convexreg.simulation import ScenarioSpec, generate_scenario
 from convexreg.solver import _HingeSystem, _entering_batch, certificate_scale
@@ -248,11 +248,17 @@ class TestCertificate:
         # a tolerance below float resolution cannot be certified
         ds = noisy_convex_dataset(1, n=200)
         with pytest.raises(SolverError, match="certificate failed") as info:
-            fit_convex_lse(ds, ToleranceConfig(kkt_tol=1e-300))
+            fit_convex_lse(ds, kkt_tol=1e-300)
         for name in ("cumulative_sums_nonnegative", "cumulative_sums_zero_at_kinks",
                      "total_mass_match"):
             assert f"'{name}'" in str(info.value)
         assert info.value.trace is not None
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_tolerance(self, tol):
+        ds = noisy_convex_dataset(1, n=20)
+        with pytest.raises(ValueError, match="kkt_tol must be strictly positive"):
+            fit_convex_lse(ds, kkt_tol=tol)
 
     def test_first_and_last_points_never_underfit(self):
         # prefix gap at the first index and the matching suffix condition;
@@ -313,11 +319,15 @@ def test_affine_equivariance():
         assert np.max(np.abs(shifted_fit.fitted - target)) < 1e-9
 
 
-def test_error_on_tiny_iteration_budget():
+def test_error_on_tiny_iteration_budget(monkeypatch):
+    # a budget of 2 solves: the initial solve and one entry, then the main
+    # loop runs out with violators still open
+    monkeypatch.setattr(solver, "_SOLVES_PER_POINT", 1 / 15)
     x = np.linspace(0.0, 1.0, 30)
     ds = Dataset(x=x, y=x**2, weights=np.ones(30))
-    with pytest.raises(SolverError, match="solves"):
-        fit_convex_lse(ds, ToleranceConfig(max_iterations=2))
+    with pytest.raises(SolverError, match="solves") as info:
+        fit_convex_lse(ds)
+    assert info.value.trace is not None
 
 
 def test_trace_records_progress():
