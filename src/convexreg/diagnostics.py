@@ -20,6 +20,8 @@ observed-minus-fitted orientation of the inequalities they certify.  All
 sums carry dataset weights so merged duplicates count with multiplicity.
 """
 
+import math
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -202,8 +204,8 @@ def characterization_report(dataset: Dataset, fit_or_values,
     raw array, whose kinks are those of :meth:`ConvexFit.from_values`, may
     bend below the kink threshold.
     """
-    if not (kkt_tol > 0.0):
-        raise ValueError("kkt_tol must be strictly positive")
+    if not (0.0 < kkt_tol < math.inf):
+        raise ValueError("kkt_tol must be strictly positive and finite")
     fitted, kinks = _fit_view(dataset, fit_or_values)
     w = dataset.weights
     scale = certificate_scale(dataset)

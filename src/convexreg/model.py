@@ -95,6 +95,15 @@ class Dataset:
             raise ValueError("non-finite values in input points")
         if x.size and (x.min() < 0.0 or x.max() > 1.0):
             raise ValueError("design points must lie in [0, 1]")
+        order = x.argsort()
+        xs = x[order]
+        if xs.size >= 2 and np.logical_and.reduce(xs[1:] > xs[:-1]):
+            # distinct abscissae: what the merge below returns, without the
+            # grouping (bincount sums each lone y onto 0.0 and divides by 1)
+            ys = y[order]
+            ys += 0.0
+            del order  # freed before the dataset copies its three arrays
+            return cls(x=xs, y=ys, weights=np.ones(xs.size))
         xs, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
         if xs.size < 2:
             raise ValueError("need at least 2 distinct design points")

@@ -21,9 +21,10 @@ must be nonnegative for every p and zero at every kink and at the right end,
 and the total fitted mass must match the total response mass.  All sums carry
 the dataset weights so merged duplicate points count with their multiplicity.
 
-:func:`kkt_sums` is the only computation of this process.  The loop computes
-it once per fitted update to pick the entering batch; the sums of the final
-fit are then checked by :meth:`KktSums.violations` and returned as
+:func:`kkt_sums` is the only formula for this process.  The loop evaluates
+it once per step on plain arrays to pick the entering batch, and wraps the
+final step's sums in a :class:`KktSums` only at its exits; those are
+checked by :meth:`KktSums.violations` and returned as
 ``SolverTrace.certificate``.  The characterization report, the gap process
 and the invelope samples read the same object.
 
@@ -31,14 +32,21 @@ Each solve fits the least-squares linear spline whose knots are the current
 kinks, in the hat (linear B-spline) basis: the unknowns are its values at
 x[0], the kinks and x[n-1], and the normal equations are tridiagonal.  They
 are assembled from segment moments taken in local coordinates and cached
-across solves, then solved by an O(k) Thomas sweep.  A batch entry splits
-every segment it touches, so the new segments come in runs; each maximal
-run of consecutive uncached segments gets its moments in one vectorized
-pass over its design points.  Every node is a design point, so the system
-is positive definite and needs no condition check or fallback.  The fitted
-values interpolate the node values; the hinge form (intercept, base slope,
-slope increments) drives the line search.
+across solves, then solved by an O(k) Thomas sweep that adds up each
+node's diagonal and right-hand side as it goes.  A batch entry splits every
+segment it touches, so the new segments come in runs; each maximal run of
+consecutive uncached segments gets its moments in one vectorized pass over
+its design points.  Every node is a design point, so the system is positive
+definite and needs no condition check or fallback.  The fitted values
+interpolate the node values; the hinge form (intercept, base slope, slope
+increments) drives the line search.
+
+One step of the loop builds the node array (x[0], the kinks, x[n-1]) once
+and uses it for the fitted values and the batch pick; a batch is merged
+into the kinks by one stable argsort.
 """
+
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -102,10 +110,14 @@ def kkt_sums(dataset: Dataset, fit_or_values) -> KktSums:
     fitted = _fitted_of(fit_or_values)
     if fitted.shape != dataset.x.shape:
         raise ValueError("fitted values must match the dataset length")
-    excess = dataset.weights * (fitted - dataset.y)
-    prefix = np.cumsum(excess)
-    cum = np.cumsum(prefix[:-1] * np.diff(dataset.x))
-    return KktSums(cum=cum, total_gap=float(prefix[-1]))
+    cum, total_gap = _cumulative_sums(dataset, fitted)
+    return KktSums(cum=cum, total_gap=total_gap)
+
+
+def _cumulative_sums(dataset: Dataset, fitted: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(cum, total_gap)`` of :class:`KktSums`, unchecked and unwrapped."""
+    prefix = np.add.accumulate(dataset.weights * (fitted - dataset.y))
+    return np.add.accumulate(prefix[:-1] * np.diff(dataset.x)), float(prefix[-1])
 
 
 def certificate_scale(dataset: Dataset) -> float:
@@ -133,8 +145,8 @@ class _HingeSystem:
     segments a solve does not find in the cache are taken run by run: one
     pass over the contiguous design points of each maximal run of
     consecutive uncached segments, with u and v from each point's own
-    segment end nodes and the sums split at the segment offsets by
-    ``np.add.reduceat``.
+    segment end nodes (a run of one segment broadcasts its two nodes) and
+    the sums split at the segment offsets by ``np.add.reduceat``.
 
     Each node is a design point with positive weight, so the system is
     positive definite on every kink set and there is no ill-conditioned case
@@ -148,6 +160,8 @@ class _HingeSystem:
         self.w = dataset.weights
         self.n = self.x.size
         self._moments = {}
+        self._first = np.zeros(1, dtype=int)
+        self._last = np.full(1, self.n - 1)
 
     def _run_moments(self, bounds: np.ndarray) -> list:
         """Moment rows of the consecutive segments between ``bounds`` (node
@@ -157,18 +171,25 @@ class _HingeSystem:
         xs = self.x[start:stop]
         ws = self.w[start:stop]
         ys = self.y[start:stop]
-        counts = bounds[1:] - bounds[:-1]
-        counts[-1] += stop - end
-        # every point takes u and v from its own segment's end nodes
         knots = self.x[bounds]
-        gap = np.repeat(knots[1:] - knots[:-1], counts)
-        u = xs - np.repeat(knots[:-1], counts)
-        u /= gap
-        v = np.repeat(knots[1:], counts) - xs
+        left, right = knots[:-1], knots[1:]
+        gap = right - left
+        if bounds.size > 2:
+            # every point takes u and v from its own segment's end nodes
+            counts = bounds[1:] - bounds[:-1]
+            counts[-1] += stop - end
+            left, right, gap = left.repeat(counts), right.repeat(counts), gap.repeat(counts)
+        # rows w*v*v, w*u*v, w*u*u, w*y*v, w*y*u; v and u sit in the last
+        # two rows until the products that overwrite them, which keeps the
+        # pass to one (5, m) buffer and two m-vectors
+        terms = np.empty((5, xs.size))
+        v, u = terms[3], terms[4]
+        np.subtract(right, xs, out=v)
         v /= gap
+        np.subtract(xs, left, out=u)
+        u /= gap
         wu = ws * u
         wv = ws * v
-        terms = np.empty((5, xs.size))
         np.multiply(wv, v, out=terms[0])
         np.multiply(wu, v, out=terms[1])
         np.multiply(wu, u, out=terms[2])
@@ -183,55 +204,61 @@ class _HingeSystem:
         nodes = self._nodes(kinks)
         ends = nodes.tolist()
         keys = list(zip(ends, ends[1:]))
+        rows = list(map(self._moments.get, keys))
         # one pass per maximal run [first, last) of consecutive uncached segments
         runs = []
-        for seg, key in enumerate(keys):
-            if key not in self._moments:
-                if runs and runs[-1][1] == seg:
-                    runs[-1][1] = seg + 1
-                else:
-                    runs.append([seg, seg + 1])
+        for seg in [seg for seg, row in enumerate(rows) if row is None]:
+            if runs and runs[-1][1] == seg:
+                runs[-1][1] = seg + 1
+            else:
+                runs.append([seg, seg + 1])
         for first, last in runs:
-            rows = self._run_moments(nodes[first:last + 1])
-            self._moments.update(zip(keys[first:last], rows))
-        rows = [self._moments[key] for key in keys]
-        vv, uv, uu, yv, yu = zip(*rows)
-        # a node gathers the u-terms of the segment ending at it and the
-        # v-terms of the segment starting at it
-        diag = [a + b for a, b in zip((0.0, *uu), (*vv, 0.0))]
-        rhs = [a + b for a, b in zip((0.0, *yu), (*yv, 0.0))]
-        # Thomas sweep; positive definiteness keeps every pivot positive
-        pivot, reduced = diag[0], rhs[0]
+            rows[first:last] = self._run_moments(nodes[first:last + 1])
+            self._moments.update(zip(keys[first:last], rows[first:last]))
+        # Thomas sweep; positive definiteness keeps every pivot positive.  A
+        # node gathers the u-terms (uu, yu) of the segment ending at it and
+        # the v-terms (vv, yv) of the segment starting at it; the off-diagonal
+        # between two nodes is their segment's uv.
+        vv, _, _, yv, _ = rows[0]
+        pivot, reduced = 0.0 + vv, 0.0 + yv
         pivots, reduceds = [pivot], [reduced]
-        for off, d, r in zip(uv, diag[1:], rhs[1:]):
+        for (_, off, uu, _, yu), (vv, _, _, yv, _) in zip(rows, rows[1:] + [_NO_SEGMENT]):
             factor = off / pivot
-            pivot = d - factor * off
-            reduced = r - factor * reduced
+            pivot = (uu + vv) - factor * off
+            reduced = (yu + yv) - factor * reduced
             pivots.append(pivot)
             reduceds.append(reduced)
         value = reduced / pivot
         values = [value]
-        for off, pivot, reduced in zip(reversed(uv), pivots[-2::-1], reduceds[-2::-1]):
+        for (_, off, _, _, _), pivot, reduced in zip(reversed(rows), pivots[-2::-1],
+                                                     reduceds[-2::-1]):
             value = (reduced - off * value) / pivot
             values.append(value)
-        values = np.array(values[::-1])
+        values.reverse()
+        values = np.array(values)
         knots = self.x[nodes]
         slopes = (values[1:] - values[:-1]) / (knots[1:] - knots[:-1])
         coef = np.empty(nodes.size)
+        coef[1:] = slopes
+        coef[2:] -= slopes[:-1]
         coef[0] = values[0] - slopes[0] * knots[0]
-        coef[1] = slopes[0]
-        coef[2:] = slopes[1:] - slopes[:-1]
         return coef, values
 
-    def fitted(self, kinks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def fitted(self, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Fitted values at every design point from the values at ``nodes``
+        (from :meth:`_nodes`)."""
         # interpolate segment by segment from the node values: rebuilding
         # them from the hinge form (a cumulative sum of slope increments on
         # top of the base slope and intercept) cancels when a tiny first gap
         # makes the base slope huge
-        return np.interp(self.x, self.x[self._nodes(kinks)], values)
+        return np.interp(self.x, self.x[nodes], values)
 
     def _nodes(self, kinks: np.ndarray) -> np.ndarray:
-        return np.concatenate(([0], kinks, [self.n - 1]))
+        return np.concatenate((self._first, kinks, self._last))
+
+
+# moments of the empty segment after x[n-1]: the last node's v-terms
+_NO_SEGMENT = (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
@@ -243,8 +270,8 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
     :class:`SolverError` with the trace attached.  A fit may spend 50 linear
     solves per design point; ``SolverTrace.iterations`` counts them.
     """
-    if not (kkt_tol > 0.0):
-        raise ValueError("kkt_tol must be strictly positive")
+    if not (0.0 < kkt_tol < math.inf):
+        raise ValueError("kkt_tol must be strictly positive and finite")
     n = dataset.n
     system = _HingeSystem(dataset)
     scale = certificate_scale(dataset)
@@ -267,70 +294,70 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
             solves += 1
             coef, values = system.solve(current)
             hinge = coef[2:]
-            if hinge.size == 0 or hinge.min() > 0.0:
+            if hinge.size == 0 or np.minimum.reduce(hinge) > 0.0:
                 return current, coef, values
             # an entering hinge (feasible coefficient 0) that solves to <= 0
             # would stop the line search at alpha = 0 and drop the whole
             # batch with it: remove such hinges alone and solve again
             keep = (feasible > 0.0) | (hinge > 0.0)
-            if keep.all():
-                blocked = np.flatnonzero(hinge <= 0.0)
+            if np.logical_and.reduce(keep):
+                blocked = (hinge <= 0.0).nonzero()[0]
                 steps = feasible[blocked] / (feasible[blocked] - hinge[blocked])
-                feasible = feasible + float(steps.min()) * (hinge - feasible)
+                feasible = feasible + float(np.minimum.reduce(steps)) * (hinge - feasible)
                 keep = feasible > 0.0
-                keep[blocked[np.argmin(steps)]] = False
+                keep[blocked[steps.argmin()]] = False
             current = current[keep]
             feasible = feasible[keep]
         return None
 
     def enter(batch):
-        at = np.searchsorted(kinks, batch)
-        return resolve(np.insert(kinks, at, batch), np.insert(coef[2:], at, 0.0))
+        return resolve(*_merge_batch(kinks, coef[2:], batch))
+
+    def trace():
+        sums = KktSums(cum=cum, total_gap=total_gap)
+        return SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
 
     # one solve: the budget is at least 100 and the empty set is feasible
     kinks, coef, values = resolve(np.empty(0, dtype=int), np.empty(0))
-    fitted = system.fitted(kinks, values)
-    history.append(tuple(int(j) for j in kinks))
 
     while True:
-        sums = kkt_sums(dataset, fitted)
+        nodes = system._nodes(kinks)
+        fitted = system.fitted(nodes, values)
+        history.append(tuple(kinks.tolist()))
+        cum, total_gap = _cumulative_sums(dataset, fitted)
         # entry p - 1 belongs to design point p; kinks and x[n-1] are closed
-        open_sums = sums.cum / scale
+        open_sums = cum / scale
         open_sums[kinks - 1] = np.inf
         open_sums[-1] = np.inf
-        batch = _entering_batch(open_sums, system._nodes(kinks), stop_tol)
+        batch = _entering_batch(open_sums, nodes, stop_tol)
         if batch.size == 0:
             break
         if solves >= budget:
-            trace = SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
             raise SolverError(
                 f"no convergence within {budget} solves "
                 f"(worst normalized violation {open_sums.min():.3e})",
-                trace,
+                trace(),
             )
         result = enter(batch)
-        if result is not None and batch.size > 1 and np.array_equal(result[0], kinks):
+        if result is not None and batch.size > 1 and _same_kinks(result[0], kinks):
             # the batch fell through as a whole; retry its deepest index alone
-            result = enter(batch[[np.argmin(open_sums[batch - 1])]])
+            result = enter(batch[[open_sums[batch - 1].argmin()]])
         if result is None:
-            trace = SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
-            raise SolverError(f"no convergence within {budget} solves", trace)
-        if np.array_equal(result[0], kinks):
+            raise SolverError(f"no convergence within {budget} solves", trace())
+        if _same_kinks(result[0], kinks):
             # entering hinge was immediately infeasible at float resolution;
             # no strict progress is possible, certify what we have
             break
         kinks, coef, values = result
-        fitted = system.fitted(kinks, values)
-        history.append(tuple(int(j) for j in kinks))
 
-    # both exits above leave `sums` computed for the final `fitted`
-    trace = SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
-    violations = sums.violations(kinks, scale)
+    # both exits above leave `cum` computed for the final `fitted`
+    final = trace()
+    violations = final.certificate.violations(kinks, scale)
     if not all(v <= kkt_tol for v in violations.values()):
-        raise SolverError(f"certificate failed: {violations}", trace)
+        raise SolverError(f"certificate failed: {violations}", final)
 
     kink_abs = dataset.kink_threshold
-    hinge_pairs = tuple((int(j), float(b)) for j, b in zip(kinks, coef[2:]))
+    hinge_pairs = tuple(zip(kinks.tolist(), coef[2:].tolist()))
     fit = ConvexFit(
         fitted=fitted,
         kinks=tuple(j for j, b in hinge_pairs if b > kink_abs),
@@ -338,7 +365,22 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
         base_slope=float(coef[1]),
         hinge_coeffs=hinge_pairs,
     )
-    return fit, trace
+    return fit, final
+
+
+def _merge_batch(kinks: np.ndarray, hinge: np.ndarray,
+                 batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted ``batch`` merged into ``kinks`` and, aligned with the
+    merged set, the hinge coefficients with 0 at the entering indices.  On
+    equal indices the batch comes first, as ``np.insert`` at
+    ``np.searchsorted`` would place it."""
+    merged = np.concatenate((batch, kinks))
+    order = merged.argsort(kind="stable")
+    return merged[order], np.concatenate((np.zeros(batch.size), hinge))[order]
+
+
+def _same_kinks(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.size == b.size and bool(np.logical_and.reduce(a == b))
 
 
 def _entering_batch(open_sums: np.ndarray, nodes: np.ndarray, stop_tol: float) -> np.ndarray:
@@ -350,13 +392,15 @@ def _entering_batch(open_sums: np.ndarray, nodes: np.ndarray, stop_tol: float) -
     points (the kinks and x[n-1]); segment s owns the entries from
     ``nodes[s]`` up to, not including, ``nodes[s + 1]``.
     """
-    depth = np.minimum.reduceat(open_sums, nodes[:-1])
-    at_depth = np.flatnonzero(open_sums == np.repeat(depth, nodes[1:] - nodes[:-1]))
-    segment = np.searchsorted(nodes, at_depth, side="right") - 1
-    first = np.ones(at_depth.size, dtype=bool)
-    first[1:] = segment[1:] != segment[:-1]
-    pick = first & (depth[segment] < -stop_tol)
-    return at_depth[pick] + 1
+    starts = nodes[:-1]
+    depth = np.minimum.reduceat(open_sums, starts)
+    deep_starts = starts[depth < -stop_tol]
+    if deep_starts.size == 0:
+        return np.empty(0, dtype=int)
+    at_depth = (open_sums == depth.repeat(nodes[1:] - starts)).nonzero()[0]
+    # a deep segment holds an index at its depth, so the first index at
+    # depth from the segment's start on is that segment's smallest
+    return at_depth[at_depth.searchsorted(deep_starts)] + 1
 
 
 def _objective(dataset: Dataset, fitted: np.ndarray) -> float:

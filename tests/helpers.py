@@ -90,3 +90,21 @@ def lexsort_batch(open_sums, kinks, stop_tol):
     lead = np.ones(order.size, dtype=bool)
     lead[1:] = segment[order[1:]] != segment[order[:-1]]
     return violators[order[lead]]
+
+
+def repeat_run_moments(dataset, bounds):
+    """Moment rows of the consecutive segments between node indices
+    ``bounds``, with each point's segment end nodes and gap spread to it by
+    ``np.repeat`` whatever the number of segments."""
+    n = dataset.n
+    start, end = int(bounds[0]), int(bounds[-1])
+    stop = end + 1 if end == n - 1 else end
+    xs, ys, ws = (a[start:stop] for a in (dataset.x, dataset.y, dataset.weights))
+    counts = bounds[1:] - bounds[:-1]
+    counts[-1] += stop - end
+    knots = dataset.x[bounds]
+    gap = np.repeat(knots[1:] - knots[:-1], counts)
+    u = (xs - np.repeat(knots[:-1], counts)) / gap
+    v = (np.repeat(knots[1:], counts) - xs) / gap
+    terms = np.array([ws * v * v, ws * u * v, ws * u * u, ws * v * ys, ws * u * ys])
+    return np.add.reduceat(terms, bounds[:-1] - start, axis=1).T

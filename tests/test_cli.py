@@ -128,7 +128,7 @@ def test_tol_flag_is_recorded(tmp_path):
     assert json.loads(rep.read_text())["config"]["tol"] == 1e-6
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["fit", "check"])
 def test_nonpositive_tol_is_an_input_error(tmp_path, capsys, command, tol):
     src = FIXTURES / ("fit_n12.csv" if command == "fit" else "check_near_duplicates.csv")

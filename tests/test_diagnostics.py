@@ -231,7 +231,7 @@ class TestCharacterizationReport:
         assert kinks == fit.kinks
         assert [seg.first_index for seg in segment_reports(ds, fit.fitted)] == [0, *kinks]
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_tolerance(self, tol):
         ds = noisy_convex_dataset(9, n=20)
         fit, _ = fit_convex_lse(ds)

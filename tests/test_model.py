@@ -68,6 +68,24 @@ class TestBuildDataset:
             for field in ("x", "y", "weights"):
                 assert getattr(ds, field).tobytes() == getattr(datasets[0], field).tobytes()
 
+    @given(st.integers(0, 10_000), st.integers(3, 60), st.booleans())
+    def test_from_arrays_equals_the_unique_merge_byte_for_byte(self, seed, n, duplicates):
+        # distinct abscissae skip np.unique and bincount; the arrays must
+        # still be the merge's, signed zeros included
+        rng = np.random.default_rng(seed)
+        x = rng.random(n)
+        if duplicates:
+            copies = rng.integers(2, n, size=int(rng.integers(1, n - 1)))
+            x[copies] = x[rng.integers(0, 2, size=copies.size)]
+        y = rng.standard_normal(n)
+        y[rng.random(n) < 0.2] = -0.0
+        xs, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+        ds = Dataset.from_arrays(x, y)
+        assert ds.x.tobytes() == xs.tobytes()
+        assert ds.y.tobytes() == (np.bincount(inverse, weights=y) / counts).tobytes()
+        assert ds.weights.tobytes() == counts.astype(float).tobytes()
+        assert (ds.n < n) == duplicates
+
     @pytest.mark.parametrize("points, match", [
         (np.array([[0.3, 1.0]]), "at least 2"),
         (np.array([0.1, 0.4, 0.7]), "pairs"),

@@ -9,10 +9,10 @@ from convexreg import (
     fit_convex_lse,
     kkt_sums,
 )
-from convexreg import solver
+from convexreg import simulation, solver
 from convexreg.oracle import enumerate_convex_lse
-from convexreg.simulation import ScenarioSpec, generate_scenario
-from convexreg.solver import _HingeSystem, _entering_batch, certificate_scale
+from convexreg.simulation import ScenarioSpec, generate_scenario, mix_seed
+from convexreg.solver import _HingeSystem, _entering_batch, _merge_batch, certificate_scale
 
 from helpers import (
     lexsort_batch,
@@ -21,6 +21,7 @@ from helpers import (
     noisy_convex_dataset,
     random_convex_values,
     random_dataset,
+    repeat_run_moments,
     segment_moments,
 )
 
@@ -122,7 +123,7 @@ def test_batch_that_falls_through_retries_its_deepest_index(monkeypatch):
     old, batch = calls[step - 1], sorted(calls[step] - calls[step - 1])
     system = _HingeSystem(ds)
     kinks = np.array(sorted(old))
-    sums = kkt_sums(ds, system.fitted(kinks, solve(system, kinks)[1]))
+    sums = kkt_sums(ds, system.fitted(system._nodes(kinks), solve(system, kinks)[1]))
     deepest = batch[int(np.argmin(sums.cum[np.array(batch) - 1]))]
     assert calls[step + 1] == old
     assert calls[step + 2] == old | {deepest}
@@ -177,6 +178,101 @@ def test_entering_batch_matches_lexsort_rule(seed, n):
     nodes = np.concatenate(([0], kinks, [n - 1]))
     expected = lexsort_batch(open_sums[: n - 2], kinks, stop_tol)
     assert np.array_equal(_entering_batch(open_sums, nodes, stop_tol), expected)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["plain", "weighted", "near_duplicate"]),
+       st.integers(1, 4))
+def test_run_moments_equal_the_repeat_form_bitwise(seed, design, segments):
+    # a run of one segment broadcasts its end nodes instead of repeating them
+    if design == "near_duplicate":
+        ds = near_duplicate_dataset(seed, n=int(np.random.default_rng(seed).integers(3, 60)))
+    else:
+        ds = random_dataset(seed, n_min=3, n_max=80, weighted=design == "weighted")
+    rng = np.random.default_rng(seed + 2)
+    size = min(segments + 1, ds.n)
+    bounds = np.sort(rng.choice(ds.n, size, replace=False))
+    rows = np.array(_HingeSystem(ds)._run_moments(bounds))
+    assert rows.tobytes() == repeat_run_moments(ds, bounds).tobytes()
+
+
+@given(st.integers(0, 10_000), st.integers(3, 60))
+def test_merge_batch_matches_insert_at_searchsorted(seed, n):
+    rng = np.random.default_rng(seed)
+    interior = rng.permutation(np.arange(1, n - 1))
+    k = int(rng.integers(0, interior.size + 1))
+    kinks = np.sort(interior[:k])
+    batch = np.sort(interior[k:k + int(rng.integers(1, n))])
+    hinge = rng.uniform(0.1, 5.0, kinks.size)
+    at = np.searchsorted(kinks, batch)
+    merged, feasible = _merge_batch(kinks, hinge, batch)
+    assert merged.dtype == kinks.dtype
+    assert np.array_equal(merged, np.insert(kinks, at, batch))
+    assert feasible.tobytes() == np.insert(hinge, at, 0.0).tobytes()
+
+
+def test_entering_batch_without_violators_is_an_empty_integer_array():
+    # n = 7 with a kink at 4; the one negative sum sits above -stop_tol
+    open_sums = np.array([0.5, -5e-14, 2.0, np.inf, 0.0, np.inf])
+    batch = _entering_batch(open_sums, np.array([0, 4, 6]), 1e-13)
+    assert batch.shape == (0,)
+    assert batch.dtype.kind == "i"
+
+
+def _invelope_dataset(seed):
+    # the dataset simulate_invelope(2, 4, 2000, seed) fits
+    seen = []
+
+    def spy(dataset):
+        seen.append(dataset)
+        return fit_convex_lse(dataset)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "fit_convex_lse", spy)
+        simulation.simulate_invelope(2, 4.0, 2000, seed)
+    return seen[0]
+
+
+def _rates_dataset(n, replicate):
+    return generate_scenario(ScenarioSpec("vanishing", n=n, seed=mix_seed(4242, n, replicate), r=4))
+
+
+def _noiseless_dataset(n):
+    x = np.linspace(0.0, 1.0, n)
+    return Dataset(x=x, y=4.0 * (x - 0.5) ** 2, weights=np.ones(n))
+
+
+# (solves, kink-history length, certified kinks) recorded on the solver
+# before its per-step calls were restructured; a change to the solve path
+# that moves them must say why
+SOLVE_PATH_PINS = {
+    "rates_500_0": (lambda: _rates_dataset(500, 0), 8, 5, (1, 18, 437, 495)),
+    "rates_500_1": (lambda: _rates_dataset(500, 1), 16, 8, (4, 9, 489, 496)),
+    "rates_2000_0": (lambda: _rates_dataset(2000, 0), 11, 6, (437, 1824, 1952)),
+    "rates_10000_0": (lambda: _rates_dataset(10000, 0), 21, 9,
+                      (1, 2, 3109, 9115, 9983, 9998)),
+    "invelope_0": (lambda: _invelope_dataset(0), 33, 9,
+                   (1, 3, 59, 187, 310, 361, 437, 581, 677, 726, 815, 817, 983, 1186,
+                    1191, 1306, 1316, 1507, 1686, 1713, 1916, 1997)),
+    "invelope_1": (lambda: _invelope_dataset(1), 34, 9,
+                   (7, 8, 88, 157, 274, 517, 625, 627, 676, 812, 988, 1199, 1342, 1427,
+                    1527, 1545, 1722, 1806, 1812, 1969, 1985)),
+    "near_duplicate_design_0": (
+        lambda: build_dataset(zip(*near_duplicate_design(0))), 12, 7,
+        (35, 55, 151, 172, 233, 312, 354)),
+    "near_duplicate_design_5_21": (
+        lambda: build_dataset(zip(*near_duplicate_design(21, 5, copies=1))), 2, 2, (1,)),
+    "near_duplicate_dataset_3": (lambda: near_duplicate_dataset(3, 60), 3, 3, (38, 68)),
+    "weighted_352": (lambda: random_dataset(352, n=10, weighted=True), 5, 4, (4, 7, 8)),
+    "weighted_7": (lambda: random_dataset(7, n=80, weighted=True), 10, 6, (1, 19, 78)),
+    "noiseless_300": (lambda: _noiseless_dataset(300), 10, 10, tuple(range(1, 299))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_PATH_PINS))
+def test_solve_path_is_pinned(name):
+    build, solves, steps, kinks = SOLVE_PATH_PINS[name]
+    fit, trace = fit_convex_lse(build())
+    assert (trace.iterations, len(trace.kink_history), fit.kinks) == (solves, steps, kinks)
 
 
 def test_weighted_merge_matches_weighted_oracle():
@@ -254,7 +350,7 @@ class TestCertificate:
             assert f"'{name}'" in str(info.value)
         assert info.value.trace is not None
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_tolerance(self, tol):
         ds = noisy_convex_dataset(1, n=20)
         with pytest.raises(ValueError, match="kkt_tol must be strictly positive"):
