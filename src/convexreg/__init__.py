@@ -3,95 +3,75 @@
 Solver with cumulative-sum optimality certificates, characterization
 diagnostics, boundary and argmin estimators, and Monte Carlo harnesses for
 rate-of-convergence and limit-process studies.
+
+The public names are resolved on first access, so ``import convexreg`` (or
+``import convexreg.cli`` for a fit) loads only the modules it uses: the
+study stack and ``numpy.random`` stay unloaded until a study name is read.
 """
 
-from .model import (
-    KINK_TOL,
-    KKT_TOL,
-    ConvexFit,
-    Dataset,
-    build_dataset,
-    evaluate,
-    hinge_representation,
-    left_derivative,
-)
-from .solver import KktSums, SolverError, SolverTrace, fit_convex_lse, kkt_sums
-from .diagnostics import (
-    GProcess,
-    KktReport,
-    SegmentReport,
-    characterization_report,
-    g_process,
-    segment_reports,
-    tent_functional,
-    tent_weight,
-)
-from .inference import (
-    ArgminResult,
-    BoundaryDiagnostics,
-    LocalEstimates,
-    argmin_estimator,
-    boundary_diagnostics,
-    local_estimates,
-    scaling_constants,
-)
-from .simulation import (
-    DEFAULT_RATE_GRID,
-    InvelopeSample,
-    RateStudyResult,
-    ScenarioSpec,
-    boundary_inconsistency_study,
-    generate_scenario,
-    invelope_study,
-    local_error_study,
-    rate_study,
-    simulate_affine_invelope,
-    simulate_invelope,
-    true_mean,
-)
+import importlib
+
+_EXPORTS = {
+    "model": (
+        "ConvexFit",
+        "Dataset",
+        "KINK_TOL",
+        "KKT_TOL",
+        "build_dataset",
+        "evaluate",
+        "hinge_representation",
+        "left_derivative",
+    ),
+    "solver": ("KktSums", "SolverError", "SolverTrace", "fit_convex_lse", "kkt_sums"),
+    "diagnostics": (
+        "GProcess",
+        "KktReport",
+        "SegmentReport",
+        "characterization_report",
+        "g_process",
+        "segment_reports",
+        "tent_functional",
+        "tent_weight",
+    ),
+    "inference": (
+        "ArgminResult",
+        "BoundaryDiagnostics",
+        "LocalEstimates",
+        "argmin_estimator",
+        "boundary_diagnostics",
+        "local_estimates",
+        "scaling_constants",
+    ),
+    "simulation": (
+        "DEFAULT_RATE_GRID",
+        "InvelopeSample",
+        "RateStudyResult",
+        "ScenarioSpec",
+        "boundary_inconsistency_study",
+        "generate_scenario",
+        "invelope_study",
+        "local_error_study",
+        "rate_study",
+        "simulate_affine_invelope",
+        "simulate_invelope",
+        "true_mean",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvexFit",
-    "Dataset",
-    "KINK_TOL",
-    "KKT_TOL",
-    "build_dataset",
-    "evaluate",
-    "hinge_representation",
-    "left_derivative",
-    "KktSums",
-    "SolverError",
-    "SolverTrace",
-    "fit_convex_lse",
-    "kkt_sums",
-    "GProcess",
-    "KktReport",
-    "SegmentReport",
-    "characterization_report",
-    "g_process",
-    "segment_reports",
-    "tent_functional",
-    "tent_weight",
-    "ArgminResult",
-    "BoundaryDiagnostics",
-    "LocalEstimates",
-    "argmin_estimator",
-    "boundary_diagnostics",
-    "local_estimates",
-    "scaling_constants",
-    "DEFAULT_RATE_GRID",
-    "InvelopeSample",
-    "RateStudyResult",
-    "ScenarioSpec",
-    "boundary_inconsistency_study",
-    "generate_scenario",
-    "invelope_study",
-    "local_error_study",
-    "rate_study",
-    "simulate_affine_invelope",
-    "simulate_invelope",
-    "true_mean",
-    "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

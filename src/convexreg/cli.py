@@ -16,7 +16,10 @@ with the same flags are byte-identical.  The environment variable
 
 import argparse
 import csv
+import lzma
 import math
+import os
+import stat
 import sys
 import warnings
 
@@ -25,14 +28,10 @@ import numpy as np
 from .diagnostics import characterization_report
 from .model import KINK_TOL, KKT_TOL, Dataset, build_dataset, evaluate, left_derivative
 from .output import canonical_json, write_csv, write_json
-from .simulation import (
-    DEFAULT_RATE_GRID,
-    boundary_inconsistency_study,
-    invelope_study,
-    local_error_study,
-    rate_study,
-)
 from .solver import SolverError, fit_convex_lse
+
+# The study commands import ``simulation`` (and with it ``inference`` and
+# ``numpy.random``) when they run, so ``fit`` and ``check`` never load it.
 
 
 class InputError(ValueError):
@@ -42,7 +41,8 @@ class InputError(ValueError):
 def _read_csv_columns(path, columns):
     """Read a headed numeric CSV into an ``(n, len(columns))`` float array.
 
-    After the header check the body is parsed in one ``np.loadtxt`` call.
+    After the header check the body is parsed in one ``np.loadtxt`` call
+    on the path, which reads faster than through the open text handle.
     That result is used only when it is non-empty, has one column per name
     and is all finite.  Anything else (a parse error, an empty body, a
     non-finite value, or a row that ``float`` accepts but ``loadtxt`` does
@@ -61,11 +61,20 @@ def _read_csv_columns(path, columns):
             raise InputError(f"{path}: line 1: {exc}") from exc
         if header is None or [h.strip() for h in header] != list(columns):
             raise InputError(f"{path}: line 1: expected header {','.join(columns)}")
+        # numpy reads a file it opens by path in blocks, faster than line by
+        # line through this handle; a pipe cannot be reopened, so it is not
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            body, skip = path, 1
+        else:
+            body, skip = fh, 0
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except ValueError:
+                data = np.loadtxt(body, skiprows=skip, delimiter=",", comments=None,
+                                  ndmin=2, dtype=float, encoding="utf-8")
+        except (ValueError, OSError, lzma.LZMAError):
+            # OSError and LZMAError: numpy decompresses by file suffix, so a
+            # plain-text "in.csv.gz", ".bz2" or ".xz" goes to the line parser
             data = None
         if (data is not None and data.shape[0] > 0 and data.shape[1] == len(columns)
                 and np.isfinite(data).all()):
@@ -116,6 +125,7 @@ def cmd_fit(args) -> int:
         dataset = build_dataset(data)
     except ValueError as exc:
         raise InputError(f"{args.input}: {exc}") from exc
+    del data  # the dataset holds its own copies; the parsed CSV is not needed again
     base = _base_path(args.output)
     resolved = {
         "command": "fit",
@@ -193,7 +203,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    grid = _parse_grid(args.n_grid)
+    from .simulation import DEFAULT_RATE_GRID, rate_study
+
+    grid = DEFAULT_RATE_GRID if args.n_grid is None else _parse_grid(args.n_grid)
     resolved = {
         "command": "rates", "scenario": args.scenario, "r": args.r,
         "n_grid": list(grid), "replicates": args.replicates, "seed": args.seed,
@@ -225,6 +237,8 @@ def cmd_rates(args) -> int:
 
 
 def cmd_invelope(args) -> int:
+    from .simulation import invelope_study
+
     resolved = {
         "command": "invelope", "scenario": args.scenario, "r": args.r, "c": args.c,
         "m": args.m, "replicates": args.replicates, "seed": args.seed,
@@ -291,6 +305,8 @@ def _refinement(m, coarse, fine, lines):
 
 
 def cmd_argmin(args) -> int:
+    from .simulation import local_error_study
+
     grid = _parse_grid(args.n_grid)
     resolved = {
         "command": "argmin", "r": args.r, "n_grid": list(grid),
@@ -329,6 +345,8 @@ def cmd_argmin(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    from .simulation import boundary_inconsistency_study
+
     grid = _parse_grid(args.n_grid)
     resolved = {"command": "boundary", "n_grid": list(grid), "replicates": args.replicates,
                 "epsilon": args.epsilon, "seed": args.seed, "output": args.output}
@@ -368,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", help="log-bias rate-of-convergence study")
     p.add_argument("--scenario", required=True, choices=("vanishing", "affine"))
     p.add_argument("--r", type=int, default=4)
-    p.add_argument("--n-grid", default=",".join(str(n) for n in DEFAULT_RATE_GRID))
+    p.add_argument("--n-grid", default=None, help="comma-separated sizes (default: 10 sizes, "
+                   "500 to 10000, geometric)")
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", type=float, default=1.0)

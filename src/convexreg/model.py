@@ -102,13 +102,26 @@ class Dataset:
             # grouping (bincount sums each lone y onto 0.0 and divides by 1)
             ys = y[order]
             ys += 0.0
-            del order  # freed before the dataset copies its three arrays
-            return cls(x=xs, y=ys, weights=np.ones(xs.size))
+            return cls._owning(xs, ys, np.ones(xs.size))
         xs, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
         if xs.size < 2:
             raise ValueError("need at least 2 distinct design points")
         ys = np.bincount(inverse, weights=y) / counts
-        return cls(x=xs, y=ys, weights=counts.astype(float))
+        if not np.all(np.isfinite(ys)):  # a mean of huge duplicates can overflow
+            raise ValueError("non-finite values in dataset")
+        return cls._owning(xs, ys, counts.astype(float))
+
+    @classmethod
+    def _owning(cls, x, y, weights) -> "Dataset":
+        """A dataset that takes over three new float64 arrays, which the
+        caller has built sorted, strictly increasing, within [0, 1], finite
+        and with positive weights: ``__post_init__``'s copies and checks are
+        skipped, and the arrays are only made read-only."""
+        dataset = object.__new__(cls)
+        for name, values in (("x", x), ("y", y), ("weights", weights)):
+            values.setflags(write=False)
+            object.__setattr__(dataset, name, values)
+        return dataset
 
 
 def build_dataset(points) -> Dataset:

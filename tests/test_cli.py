@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convexreg
 from convexreg import boundary_inconsistency_study, cli, simulate_invelope
 from convexreg.cli import main
 from convexreg.output import fmt
@@ -201,6 +206,46 @@ def test_csv_reader_matches_line_parser(tmp_path, monkeypatch, columns, body):
     assert got.dtype == expected.dtype == np.float64
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("suffix", [".csv.gz", ".csv.bz2", ".csv.xz", ".csv.lzma"])
+def test_plain_csv_with_a_compression_suffix_is_read_as_text(tmp_path, suffix):
+    # numpy picks a decompressor by suffix when it opens a path itself
+    body = _random_rows_text(("x", "y")).encode()
+    (tmp_path / "in.csv").write_bytes(body)
+    (tmp_path / f"in{suffix}").write_bytes(body)
+    expected = cli._read_csv_columns(str(tmp_path / "in.csv"), ("x", "y"))
+    got = cli._read_csv_columns(str(tmp_path / f"in{suffix}"), ("x", "y"))
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_csv_from_a_pipe_keeps_every_row(tmp_path):
+    # a pipe cannot be reopened by path: the rows after the header would be
+    # read past the handle's buffer, or not at all
+    body = _random_rows_text(("x", "y")).encode()
+    (tmp_path / "in.csv").write_bytes(body)
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(body)
+
+    result = {}
+
+    def read():  # in a thread: a reopen of the drained pipe would block forever
+        result["data"] = cli._read_csv_columns(str(fifo), ("x", "y"))
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (feed, read)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = cli._read_csv_columns(str(tmp_path / "in.csv"), ("x", "y"))
+    assert result["data"].shape == (300, 2)
+    assert result["data"].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -414,3 +459,56 @@ def test_outputs_embed_resolved_config(tmp_path):
     assert cfg["sigma"] == 1 and cfg["x0"] == 0.5  # defaults resolved
     header = (tmp_path / "study.csv").read_text().splitlines()[0]
     assert header.startswith("# {") and '"seed":3' in header
+
+
+LEAN_FIT_SCRIPT = """
+import json, sys
+import numpy
+before = set(sys.modules)
+import convexreg.cli
+rc = convexreg.cli.main(["fit", "--input", sys.argv[1], "--output", sys.argv[2]])
+print(json.dumps({"rc": rc, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_fit_command_loads_only_the_fit_path(tmp_path):
+    # measured against what `import numpy` alone loads, since numpy < 2
+    # imports numpy.random itself
+    env = dict(os.environ, PYTHONPATH=str(Path(convexreg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", LEAN_FIT_SCRIPT, str(FIXTURES / "fit_n12.csv"),
+         str(tmp_path / "n12.json")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(out.stdout)
+    assert report["rc"] == 0
+    assert "convexreg.solver" in report["loaded"]
+    for module in ("numpy.random", "convexreg.simulation", "convexreg.inference"):
+        assert module not in report["loaded"]
+
+
+def test_every_public_name_resolves():
+    import convexreg.simulation
+
+    assert convexreg.rate_study is convexreg.simulation.rate_study
+    namespace = {}
+    exec("from convexreg import *", namespace)
+    for name in convexreg.__all__:
+        assert namespace[name] is getattr(convexreg, name)
+    assert set(convexreg.__all__) <= set(dir(convexreg))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        convexreg.no_such_name
+
+
+def test_rates_default_grid_is_the_study_default(tmp_path, monkeypatch, capsys):
+    import convexreg.simulation as simulation
+
+    seen = {}
+
+    def stop(scenario, n_grid, **kwargs):
+        seen["n_grid"] = n_grid
+        raise ValueError("stopped before the study")
+
+    monkeypatch.setattr(simulation, "rate_study", stop)
+    assert main(["rates", "--scenario", "affine", "--output", str(tmp_path / "r")]) == 2
+    assert seen["n_grid"] == simulation.DEFAULT_RATE_GRID
+    assert "stopped before the study" in capsys.readouterr().err

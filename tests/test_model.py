@@ -86,6 +86,58 @@ class TestBuildDataset:
         assert ds.weights.tobytes() == counts.astype(float).tobytes()
         assert (ds.n < n) == duplicates
 
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_from_arrays_owns_read_only_copies_equal_to_a_checked_build(self, duplicates):
+        rng = np.random.default_rng(7)
+        x = rng.random(200)
+        if duplicates:
+            x[::20] = x[1::20]
+        y = rng.standard_normal(200)
+        ds = Dataset.from_arrays(x, y)
+        checked = Dataset(x=ds.x, y=ds.y, weights=ds.weights)  # every copy and check
+        for field in ("x", "y", "weights"):
+            arr = getattr(ds, field)
+            assert arr.dtype == np.float64 and arr.tobytes() == getattr(checked, field).tobytes()
+            assert not arr.flags.writeable
+            assert not np.shares_memory(arr, x) and not np.shares_memory(arr, y)
+            assert not np.shares_memory(arr, getattr(checked, field))
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+
+    @pytest.mark.parametrize("x, y, message", [
+        ([[0.1, 0.2]], [[1.0, 2.0]], "x and y must be 1-d arrays of equal length"),
+        ([0.1, 0.2], [1.0], "x and y must be 1-d arrays of equal length"),
+        ([0.1, np.nan], [1.0, 2.0], "non-finite values in input points"),
+        ([0.1, 0.2], [1.0, -np.inf], "non-finite values in input points"),
+        ([-0.1, 0.2], [1.0, 2.0], r"design points must lie in \[0, 1\]"),
+        ([0.4, 0.4], [1.0, 2.0], "need at least 2 distinct design points"),
+        ([], [], "need at least 2 distinct design points"),
+        # the mean of two huge duplicates overflows
+        ([0.1, 0.1, 0.5], [1.7e308, 1.7e308, 0.0], "non-finite values in dataset"),
+    ])
+    def test_from_arrays_error_messages(self, x, y, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset.from_arrays(np.array(x), np.array(y))
+
+    @pytest.mark.parametrize("x, y, w, message", [
+        ([0.1, 0.2], [1.0], [1.0, 1.0], "x, y and weights must be 1-d arrays of equal length"),
+        ([0.5], [1.0], [1.0], "need at least 2 distinct design points"),
+        ([0.1, 0.2], [1.0, np.inf], [1.0, 1.0], "non-finite values in dataset"),
+        ([0.1, 1.2], [1.0, 2.0], [1.0, 1.0], r"design points must lie in \[0, 1\]"),
+        ([0.2, 0.1], [1.0, 2.0], [1.0, 1.0],
+         r"design points must be strictly increasing \(merge duplicates first\)"),
+        ([0.1, 0.2], [1.0, 2.0], [1.0, 0.0], "weights must be strictly positive"),
+    ])
+    def test_direct_construction_keeps_every_check(self, x, y, w, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(x=np.array(x), y=np.array(y), weights=np.array(w))
+
+    def test_direct_construction_copies(self):
+        x, y, w = np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.ones(2)
+        ds = Dataset(x=x, y=y, weights=w)
+        assert not any(np.shares_memory(a, b) for a, b in ((ds.x, x), (ds.y, y), (ds.weights, w)))
+        assert x.flags.writeable and not ds.x.flags.writeable
+
     @pytest.mark.parametrize("points, match", [
         (np.array([[0.3, 1.0]]), "at least 2"),
         (np.array([0.1, 0.4, 0.7]), "pairs"),

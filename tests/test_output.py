@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from convexreg.output import canonical_json, fmt, write_csv, write_json
+from convexreg.output import _CHUNK, canonical_json, fmt, write_csv, write_json
 
 EDGE_VALUES = [
     0.0, -0.0, 0.1, -0.1, 1.0, -3.0, 2.0**53, 1e16, 1e22, 123456789.0,
@@ -40,6 +42,40 @@ def test_float_array_bytes_equal_per_element_path():
                      canonical_json({"v": arr.tolist(), "w": [arr[:3].tolist()]}))
 
 
+@pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+def test_chunk_boundaries_keep_the_bytes(size):
+    arr = random_payload(size + len(EDGE_VALUES), seed=size)[-size:]
+    assert_same_text(canonical_json(arr), canonical_json(arr.tolist()))
+
+
+def test_write_json_bytes_equal_canonical_json(tmp_path):
+    arr = random_payload(100_000)
+    payload = {"v": arr, "w": [arr[:3], {"k": arr[-5:]}], "n": 3, "s": "text"}
+    path = tmp_path / "out.json"
+    write_json(path, payload)
+    expected = canonical_json({"v": arr.tolist(), "w": [arr[:3].tolist(), {"k": arr[-5:].tolist()}],
+                               "n": 3, "s": "text"}) + "\n"
+    assert_same_text(path.read_bytes().decode("utf-8"), expected)
+    assert path.read_bytes() == (canonical_json(payload) + "\n").encode("utf-8")
+
+
+def test_write_json_peak_memory_on_a_fit_sized_payload(tmp_path):
+    # the shape of a 1e5-row fit artifact: the bound leaves room for the
+    # pieces (about 4.2 MB of text) but not for a joined copy of them
+    rng = np.random.default_rng(0)
+    payload = {"weights": np.ones(100_000), "x": np.sort(rng.random(100_000)),
+               "fitted": rng.standard_normal(100_000), "kinks": list(range(50))}
+    path = tmp_path / "fit.json"
+    tracemalloc.start()
+    try:
+        write_json(path, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 3_900_000
+    assert peak <= 5_000_000
+
+
 def test_edge_values_print_as_fmt_does():
     arr = np.array(EDGE_VALUES)
     assert canonical_json(arr) == "[" + ",".join(fmt(v) for v in EDGE_VALUES) + "]"
@@ -73,12 +109,17 @@ def test_other_arrays_keep_per_element_output(arr, text):
     assert canonical_json(arr.tolist()) == text
 
 
-@pytest.mark.parametrize("writer", ["json", "csv"])
+@pytest.mark.parametrize("writer", ["json", "json_array", "json_after_array", "csv"])
 def test_non_finite_payload_leaves_no_file(tmp_path, writer):
     path = tmp_path / f"out.{writer}"
+    big = np.linspace(0.0, 1.0, 3 * _CHUNK + 5)
     with pytest.raises(ValueError, match="non-finite value in output: nan"):
         if writer == "json":
             write_json(path, {"ok": 1.0, "bad": [0.5, float("nan")]})
+        elif writer == "json_array":
+            write_json(path, {"bad": np.append(big, np.nan)})
+        elif writer == "json_after_array":  # many pieces are built before the bad value
+            write_json(path, {"a": big, "z": float("nan")})
         else:
             write_csv(path, {"seed": 1}, ("a", "b"), [(0.5, 1.0), (2.0, float("nan"))])
     assert not path.exists()
