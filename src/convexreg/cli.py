@@ -16,6 +16,7 @@ with the same flags are byte-identical.  The environment variable
 
 import argparse
 import csv
+import io
 import lzma
 import math
 import os
@@ -55,6 +56,9 @@ def _read_csv_columns(path, columns):
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     with fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        if not regular:  # a pipe can be neither reopened by path nor rewound
+            fh = io.StringIO(fh.read(), newline="")
         try:
             header = next(csv.reader(fh), None)
         except csv.Error as exc:  # e.g. a field over the csv module's size limit
@@ -62,11 +66,8 @@ def _read_csv_columns(path, columns):
         if header is None or [h.strip() for h in header] != list(columns):
             raise InputError(f"{path}: line 1: expected header {','.join(columns)}")
         # numpy reads a file it opens by path in blocks, faster than line by
-        # line through this handle; a pipe cannot be reopened, so it is not
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            body, skip = path, 1
-        else:
-            body, skip = fh, 0
+        # line through this handle
+        body, skip = (path, 1) if regular else (fh, 0)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"

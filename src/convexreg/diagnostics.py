@@ -20,8 +20,6 @@ observed-minus-fitted orientation of the inequalities they certify.  All
 sums carry dataset weights so merged duplicates count with multiplicity.
 """
 
-import math
-
 import numpy as np
 from dataclasses import dataclass
 
@@ -30,6 +28,7 @@ from .model import (
     ConvexFit,
     Dataset,
     _frozen_array,
+    check_kkt_tol,
     cone_violation,
     kink_indices,
 )
@@ -204,8 +203,7 @@ def characterization_report(dataset: Dataset, fit_or_values,
     raw array, whose kinks are those of :meth:`ConvexFit.from_values`, may
     bend below the kink threshold.
     """
-    if not (0.0 < kkt_tol < math.inf):
-        raise ValueError("kkt_tol must be strictly positive and finite")
+    check_kkt_tol(kkt_tol)
     fitted, kinks = _fit_view(dataset, fit_or_values)
     w = dataset.weights
     scale = certificate_scale(dataset)

@@ -38,6 +38,12 @@ KKT_TOL = 1e-8
 KINK_TOL = 1e-7
 
 
+def check_kkt_tol(kkt_tol: float) -> None:
+    """Reject a certificate tolerance that is not strictly positive and finite."""
+    if not (0.0 < kkt_tol < np.inf):
+        raise ValueError("kkt_tol must be strictly positive and finite")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Sorted design points in [0, 1] with responses and merge weights."""

@@ -11,9 +11,9 @@ x[n-1]) the open design index whose cumulative certificate sum is most
 negative, picked for all segments at once by one segment-wise minimum
 (``np.minimum.reduceat``) over the normalized sums.  Feasibility is
 resolved by a line search toward the new coefficients, dropping hinges
-whose coefficients reach zero (most binding first).  Termination is
-certified by the cumulative-sum conditions themselves, not by the iteration
-path:
+whose coefficients reach zero (most binding first).  The loop stops when no
+open sum is strictly negative; ``kkt_tol`` only judges the certificate, the
+cumulative-sum conditions themselves, and never changes the solve path:
 
     cum[p] = sum_{k < p} (prefix_fitted_k - prefix_response_k) * (x_{k+1} - x_k)
 
@@ -46,12 +46,10 @@ and uses it for the fitted values and the batch pick; a batch is merged
 into the kinks by one stable argsort.
 """
 
-import math
-
 import numpy as np
 from dataclasses import dataclass
 
-from .model import KKT_TOL, ConvexFit, Dataset, _EPS
+from .model import KKT_TOL, ConvexFit, Dataset, check_kkt_tol
 
 # linear solves per design point a fit may spend
 _SOLVES_PER_POINT = 50
@@ -267,18 +265,14 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
     Returns ``(ConvexFit, SolverTrace)``.  The returned fit is certified: the
     cumulative-sum conditions hold within ``kkt_tol`` after normalization by
     ``total_weight * (1 + max|y|)``; certification failure raises
-    :class:`SolverError` with the trace attached.  A fit may spend 50 linear
-    solves per design point; ``SolverTrace.iterations`` counts them.
+    :class:`SolverError` with the trace attached; ``kkt_tol`` never changes
+    the solve path.  A fit may spend 50 linear solves per design point;
+    ``SolverTrace.iterations`` counts them.
     """
-    if not (0.0 < kkt_tol < math.inf):
-        raise ValueError("kkt_tol must be strictly positive and finite")
-    n = dataset.n
+    check_kkt_tol(kkt_tol)
     system = _HingeSystem(dataset)
     scale = certificate_scale(dataset)
-    budget = _SOLVES_PER_POINT * n
-    # stop well below kkt_tol (floored by accumulated roundoff) so the
-    # certificate and downstream diagnostics keep a clean margin
-    stop_tol = max(min(kkt_tol, 1e-13), 8.0 * _EPS * n)
+    budget = _SOLVES_PER_POINT * dataset.n
 
     solves = 0
     history = []
@@ -329,21 +323,19 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
         open_sums = cum / scale
         open_sums[kinks - 1] = np.inf
         open_sums[-1] = np.inf
-        batch = _entering_batch(open_sums, nodes, stop_tol)
+        batch = _entering_batch(open_sums, nodes)
         if batch.size == 0:
             break
-        if solves >= budget:
-            raise SolverError(
-                f"no convergence within {budget} solves "
-                f"(worst normalized violation {open_sums.min():.3e})",
-                trace(),
-            )
         result = enter(batch)
         if result is not None and batch.size > 1 and _same_kinks(result[0], kinks):
             # the batch fell through as a whole; retry its deepest index alone
             result = enter(batch[[open_sums[batch - 1].argmin()]])
         if result is None:
-            raise SolverError(f"no convergence within {budget} solves", trace())
+            raise SolverError(
+                f"no convergence within {budget} solves "
+                f"(worst normalized violation {open_sums.min():.3e})",
+                trace(),
+            )
         if _same_kinks(result[0], kinks):
             # entering hinge was immediately infeasible at float resolution;
             # no strict progress is possible, certify what we have
@@ -383,10 +375,10 @@ def _same_kinks(a: np.ndarray, b: np.ndarray) -> bool:
     return a.size == b.size and bool(np.logical_and.reduce(a == b))
 
 
-def _entering_batch(open_sums: np.ndarray, nodes: np.ndarray, stop_tol: float) -> np.ndarray:
+def _entering_batch(open_sums: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """One violator per segment between consecutive nodes: the design index
-    whose normalized sum is most negative and below ``-stop_tol``, the
-    smallest index on an exact tie.
+    whose normalized sum is most negative, the smallest on an exact tie, if
+    that sum is strictly negative.  The loop stops on an empty batch.
 
     ``open_sums[p - 1]`` belongs to design point p and is +inf at the closed
     points (the kinks and x[n-1]); segment s owns the entries from
@@ -394,7 +386,7 @@ def _entering_batch(open_sums: np.ndarray, nodes: np.ndarray, stop_tol: float) -
     """
     starts = nodes[:-1]
     depth = np.minimum.reduceat(open_sums, starts)
-    deep_starts = starts[depth < -stop_tol]
+    deep_starts = starts[depth < 0.0]
     if deep_starts.size == 0:
         return np.empty(0, dtype=int)
     at_depth = (open_sums == depth.repeat(nodes[1:] - starts)).nonzero()[0]

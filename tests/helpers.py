@@ -78,12 +78,12 @@ def segment_moments(dataset, start, end):
                  ((v, v), (u, v), (u, u), (v, ys), (u, ys)))
 
 
-def lexsort_batch(open_sums, kinks, stop_tol):
+def lexsort_batch(open_sums, kinks):
     """Entering batch by sorting every open violator: per segment between
-    kinks, the most negative sum below ``-stop_tol``, the smallest index on
-    an exact tie.  ``open_sums[p - 1]`` belongs to design point p and is
-    +inf at the kinks."""
-    violators = np.flatnonzero(open_sums < -stop_tol) + 1
+    kinks, the most negative of the strictly negative sums, the smallest
+    index on an exact tie.  ``open_sums[p - 1]`` belongs to design point p
+    and is +inf at the kinks."""
+    violators = np.flatnonzero(open_sums < 0.0) + 1
     depth = open_sums[violators - 1]
     segment = np.searchsorted(kinks, violators)
     order = np.lexsort((violators, depth, segment))

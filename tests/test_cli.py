@@ -219,13 +219,9 @@ def test_plain_csv_with_a_compression_suffix_is_read_as_text(tmp_path, suffix):
     assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_csv_from_a_pipe_keeps_every_row(tmp_path):
-    # a pipe cannot be reopened by path: the rows after the header would be
-    # read past the handle's buffer, or not at all
-    body = _random_rows_text(("x", "y")).encode()
-    (tmp_path / "in.csv").write_bytes(body)
-    fifo = tmp_path / "in.fifo"
+def _read_through_fifo(fifo, body):
+    """``_read_csv_columns`` on a named pipe fed ``body``: the array, or the
+    input error it raised."""
     os.mkfifo(fifo)
 
     def feed():
@@ -235,7 +231,10 @@ def test_csv_from_a_pipe_keeps_every_row(tmp_path):
     result = {}
 
     def read():  # in a thread: a reopen of the drained pipe would block forever
-        result["data"] = cli._read_csv_columns(str(fifo), ("x", "y"))
+        try:
+            result["data"] = cli._read_csv_columns(str(fifo), ("x", "y"))
+        except cli.InputError as exc:
+            result["error"] = exc
 
     threads = [threading.Thread(target=f, daemon=True) for f in (feed, read)]
     for thread in threads:
@@ -243,9 +242,24 @@ def test_csv_from_a_pipe_keeps_every_row(tmp_path):
     for thread in threads:
         thread.join(timeout=30)
     assert not any(thread.is_alive() for thread in threads)
+    return result.get("data", result.get("error"))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_csv_from_a_pipe_keeps_every_row(tmp_path):
+    # a pipe cannot be reopened by path: the rows after the header would be
+    # read past the handle's buffer, or not at all
+    body = _random_rows_text(("x", "y")).encode()
+    (tmp_path / "in.csv").write_bytes(body)
+    data = _read_through_fifo(tmp_path / "in.fifo", body)
     expected = cli._read_csv_columns(str(tmp_path / "in.csv"), ("x", "y"))
-    assert result["data"].shape == (300, 2)
-    assert result["data"].tobytes() == expected.tobytes()
+    assert data.shape == (300, 2)
+    assert data.tobytes() == expected.tobytes()
+    # nor can it be rewound: a malformed body reaches the line parser, which
+    # names the bad line
+    fifo = tmp_path / "bad.fifo"
+    error = _read_through_fifo(fifo, b"x,y\n0.1,1\n0.2,oops\n")
+    assert str(error) == f"{fifo}: line 3: could not convert string to float: 'oops'"
 
 
 @pytest.mark.parametrize(
