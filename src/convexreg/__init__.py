@@ -17,6 +17,7 @@ _EXPORTS = {
         "Dataset",
         "KINK_TOL",
         "KKT_TOL",
+        "SCALE_LIMIT",
         "build_dataset",
         "evaluate",
         "hinge_representation",

@@ -113,6 +113,24 @@ def _parse_grid(text):
         raise InputError(f"bad --n-grid {text!r}: {exc}") from exc
 
 
+def _finite_float(text):
+    """argparse type of the real-valued study flags: ``nan`` and ``inf``
+    exit 2 before any replicate runs."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _run_study(study, args, **parsed):
+    """Run ``study`` on its subcommand's flags but ``--output``, ``parsed``
+    replacing a flag's raw text; return the result and the artifact config:
+    the command, exactly the keyword arguments the study ran with, the output."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "run", "output")}
+    params.update(parsed)
+    return study(**params), {"command": args.command, **params, "output": args.output}
+
+
 def _base_path(output):
     for suffix in (".json", ".csv"):
         if output.endswith(suffix):
@@ -207,15 +225,7 @@ def cmd_rates(args) -> int:
     from .simulation import DEFAULT_RATE_GRID, rate_study
 
     grid = DEFAULT_RATE_GRID if args.n_grid is None else _parse_grid(args.n_grid)
-    resolved = {
-        "command": "rates", "scenario": args.scenario, "r": args.r,
-        "n_grid": list(grid), "replicates": args.replicates, "seed": args.seed,
-        "sigma": args.sigma, "x0": args.x0, "output": args.output,
-    }
-    result = rate_study(
-        args.scenario, n_grid=grid, replicates=args.replicates, x0=args.x0,
-        seed=args.seed, r=args.r, sigma=args.sigma,
-    )
+    result, resolved = _run_study(rate_study, args, n_grid=grid)
     base = _base_path(args.output)
     write_csv(
         base + ".csv",
@@ -240,17 +250,11 @@ def cmd_rates(args) -> int:
 def cmd_invelope(args) -> int:
     from .simulation import invelope_study
 
-    resolved = {
-        "command": "invelope", "scenario": args.scenario, "r": args.r, "c": args.c,
-        "m": args.m, "replicates": args.replicates, "seed": args.seed,
-        "x0": args.x0, "output": args.output,
-    }
-    if args.refine:
-        if args.replicates < 2:
-            raise InputError("--refine needs at least 2 replicates")
-        resolved["refine"] = True
-    results = invelope_study(args.scenario, args.m, args.replicates, seed=args.seed,
-                             r=args.r, c=args.c, x0=args.x0, refine=args.refine)
+    if args.refine and args.replicates < 2:
+        raise InputError("--refine needs at least 2 replicates")
+    results, resolved = _run_study(invelope_study, args)
+    if not args.refine:
+        del resolved["refine"]  # recorded only when set
     base = _base_path(args.output)
     write_csv(
         base + ".csv",
@@ -308,14 +312,7 @@ def _refinement(m, coarse, fine, lines):
 def cmd_argmin(args) -> int:
     from .simulation import local_error_study
 
-    grid = _parse_grid(args.n_grid)
-    resolved = {
-        "command": "argmin", "r": args.r, "n_grid": list(grid),
-        "replicates": args.replicates, "seed": args.seed, "sigma": args.sigma,
-        "output": args.output,
-    }
-    study = local_error_study(args.r, grid, args.replicates, seed=args.seed,
-                              sigma=args.sigma)
+    study, resolved = _run_study(local_error_study, args, n_grid=_parse_grid(args.n_grid))
     rate = 1.0 / (2 * args.r + 1)
     base = _base_path(args.output)
     write_csv(
@@ -349,10 +346,7 @@ def cmd_boundary(args) -> int:
     from .simulation import boundary_inconsistency_study
 
     grid = _parse_grid(args.n_grid)
-    resolved = {"command": "boundary", "n_grid": list(grid), "replicates": args.replicates,
-                "epsilon": args.epsilon, "seed": args.seed, "output": args.output}
-    study = boundary_inconsistency_study(grid, args.replicates, seed=args.seed,
-                                         epsilon=args.epsilon)
+    study, resolved = _run_study(boundary_inconsistency_study, args, n_grid=grid)
     base = _base_path(args.output)
     write_csv(base + ".csv", resolved, ("n", "count", "replicates", "frequency"),
               [(n, study.counts[n], study.replicates, study.frequencies[n]) for n in grid])
@@ -391,19 +385,20 @@ def build_parser() -> argparse.ArgumentParser:
                    "500 to 10000, geometric)")
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--x0", type=float, default=0.5)
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
+    p.add_argument("--x0", type=_finite_float, default=0.5)
     p.add_argument("--output", required=True, help="base path for .csv and .json")
     p.set_defaults(run=cmd_rates)
 
     p = sub.add_parser("invelope", help="limit-process simulator")
     p.add_argument("--scenario", choices=("vanishing", "affine"), default="vanishing")
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--c", type=float, default=4.0)
+    p.add_argument("--c", type=_finite_float, default=4.0)
     p.add_argument("--m", type=int, default=2000)
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--x0", type=float, default=0.5, help="query point for the affine variant")
+    p.add_argument("--x0", type=_finite_float, default=0.5,
+                   help="query point for the affine variant")
     p.add_argument("--refine", action="store_true", help="also run the 2m grid, same seeds")
     p.add_argument("--output", required=True, help="base path for .csv and .json")
     p.set_defaults(run=cmd_invelope)
@@ -413,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", default="1000,4000,16000")
     p.add_argument("--replicates", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=_finite_float, default=1.0)
     p.add_argument("--output", required=True, help="base path for .csv and .json")
     p.set_defaults(run=cmd_argmin)
 
     p = sub.add_parser("boundary", help="boundary overshoot frequency study")
     p.add_argument("--n-grid", default="500,2000,8000")
     p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--epsilon", type=_finite_float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="base path for .csv and .json")
     p.set_defaults(run=cmd_boundary)

@@ -30,6 +30,7 @@ from .model import (
     _frozen_array,
     check_kkt_tol,
     cone_violation,
+    fitted_values,
     kink_indices,
 )
 from .solver import certificate_scale, kkt_sums
@@ -38,13 +39,9 @@ from .solver import certificate_scale, kkt_sums
 def _fit_view(dataset: Dataset, fit_or_values):
     """Fitted values plus kink indices; a raw array gets the kinks that
     :meth:`ConvexFit.from_values` would report for it."""
+    values = fitted_values(dataset, fit_or_values)
     if isinstance(fit_or_values, ConvexFit):
-        if fit_or_values.n != dataset.n:
-            raise ValueError("fit and dataset lengths do not match")
-        return fit_or_values.fitted, tuple(fit_or_values.kinks)
-    values = np.asarray(fit_or_values, dtype=float)
-    if values.shape != dataset.x.shape:
-        raise ValueError("fitted values must match the dataset length")
+        return values, tuple(fit_or_values.kinks)
     return values, kink_indices(dataset.x, values, dataset.kink_threshold)
 
 
@@ -70,7 +67,7 @@ def g_process(dataset: Dataset, fit_or_values) -> GProcess:
     of :func:`kkt_sums`.
     """
     fitted, kinks = _fit_view(dataset, fit_or_values)
-    values = np.concatenate(([0.0], kkt_sums(dataset, fitted).cum))
+    values = np.concatenate(([0.0], kkt_sums(dataset, fit_or_values).cum))
     return GProcess(
         values=values,
         min_value=float(values.min()),
@@ -210,18 +207,18 @@ def characterization_report(dataset: Dataset, fit_or_values,
 
     results = []
 
-    def add(name, violation):
-        violation = float(max(0.0, violation))
-        results.append(ConditionResult(name, violation <= kkt_tol, violation))
+    def add(name, violation, tol=kkt_tol):
+        violation = float(violation)
+        # a NaN violation fails and reads NaN, where max(0.0, nan) is 0.0
+        worst = 0.0 if violation <= 0.0 else violation
+        results.append(ConditionResult(name, violation <= tol, worst))
 
-    cone_gap = cone_violation(dataset.x, fitted)
-    results.append(ConditionResult("cone", cone_gap <= dataset.kink_threshold,
-                                   float(max(0.0, cone_gap))))
+    add("cone", cone_violation(dataset.x, fitted), dataset.kink_threshold)
 
     add("fit_residual_orthogonality",
         abs(np.sum(w * fitted * (dataset.y - fitted))) / (scale * dataset.response_scale))
 
-    for name, violation in kkt_sums(dataset, fitted).violations(kinks, scale).items():
+    for name, violation in kkt_sums(dataset, fit_or_values).violations(kinks, scale).items():
         add(name, violation)
 
     return KktReport(

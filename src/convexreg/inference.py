@@ -12,7 +12,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .model import ConvexFit, Dataset, evaluate, left_derivative, segment_slopes
+from .model import ConvexFit, Dataset, evaluate, fitted_values, left_derivative
 
 ARGMIN_TIE_TOL = 1e-12  # absolute tie window on fitted values
 
@@ -42,9 +42,7 @@ class LocalEstimates:
 def argmin_estimator(fit: ConvexFit, dataset: Dataset) -> ArgminResult:
     """Smallest design point minimizing the fitted values; ties within
     an absolute 1e-12 window are counted and resolved to the left."""
-    if fit.n != dataset.n:
-        raise ValueError("fit and dataset lengths do not match")
-    fitted = fit.fitted
+    fitted = fitted_values(dataset, fit)
     vmin = float(fitted.min())
     ties = np.flatnonzero(fitted <= vmin + ARGMIN_TIE_TOL)
     loc = int(ties[0])
@@ -56,16 +54,13 @@ def argmin_estimator(fit: ConvexFit, dataset: Dataset) -> ArgminResult:
 
 
 def boundary_diagnostics(fit: ConvexFit, dataset: Dataset) -> BoundaryDiagnostics:
-    """Values and one-sided slopes at 0 and 1 from the boundary segments."""
-    if fit.n != dataset.n:
-        raise ValueError("fit and dataset lengths do not match")
-    s = segment_slopes(dataset.x, fit.fitted)
-    x, f = dataset.x, fit.fitted
+    """Values and one-sided slopes at 0 and 1 from the boundary segments:
+    the evaluators continue them linearly outside the design."""
     return BoundaryDiagnostics(
-        value_at_0=float(f[0] - s[0] * x[0]),
-        deriv_at_0=float(s[0]),
-        value_at_1=float(f[-1] + s[-1] * (1.0 - x[-1])),
-        deriv_at_1=float(s[-1]),
+        value_at_0=evaluate(fit, dataset, 0.0),
+        deriv_at_0=left_derivative(fit, dataset, 0.0),
+        value_at_1=evaluate(fit, dataset, 1.0),
+        deriv_at_1=left_derivative(fit, dataset, 1.0),
     )
 
 

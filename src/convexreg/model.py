@@ -37,11 +37,25 @@ def _frozen_array(values, dtype=float):
 KKT_TOL = 1e-8
 KINK_TOL = 1e-7
 
+# Largest accepted ``total_weight * (1 + max|v|)**2`` for a dataset's responses
+# and a raw fitted column: it bounds the objective, the certificate scale and
+# the orthogonality normalizer, about 1e8 below the largest double.
+SCALE_LIMIT = 1e300
+
 
 def check_kkt_tol(kkt_tol: float) -> None:
     """Reject a certificate tolerance that is not strictly positive and finite."""
     if not (0.0 < kkt_tol < np.inf):
         raise ValueError("kkt_tol must be strictly positive and finite")
+
+
+def _check_scale(weights: np.ndarray, values: np.ndarray, name: str) -> None:
+    """Reject finite ``values`` whose ``total_weight * (1 + max|v|)**2``
+    exceeds :data:`SCALE_LIMIT`."""
+    top = 1.0 + float(np.max(np.abs(values)))
+    if float(weights.sum()) * top * top > SCALE_LIMIT:
+        raise ValueError(f"{name} too large: total_weight * (1 + max|{name}|)^2 "
+                         f"must not exceed {SCALE_LIMIT:g}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +85,7 @@ class Dataset:
             raise ValueError("design points must be strictly increasing (merge duplicates first)")
         if np.any(w <= 0.0):
             raise ValueError("weights must be strictly positive")
+        _check_scale(w, y, "y")
 
     @property
     def n(self) -> int:
@@ -122,7 +137,8 @@ class Dataset:
         """A dataset that takes over three new float64 arrays, which the
         caller has built sorted, strictly increasing, within [0, 1], finite
         and with positive weights: ``__post_init__``'s copies and checks are
-        skipped, and the arrays are only made read-only."""
+        skipped but the scale limit, and the arrays are only made read-only."""
+        _check_scale(weights, y, "y")
         dataset = object.__new__(cls)
         for name, values in (("x", x), ("y", y), ("weights", weights)):
             values.setflags(write=False)
@@ -255,9 +271,7 @@ class ConvexFit:
         increments above the kink threshold are additionally reported as
         kinks.  Raises if the values are not convex over the design.
         """
-        values = np.asarray(values, dtype=float)
-        if values.shape != dataset.x.shape:
-            raise ValueError("fitted values must match the dataset length")
+        values = fitted_values(dataset, values)
         kink_abs = dataset.kink_threshold
         if cone_violation(dataset.x, values) > kink_abs:
             raise ValueError("values are not convex over the design")
@@ -281,9 +295,18 @@ class ConvexFit:
         return out
 
 
-def _check_consistent(fit: ConvexFit, dataset: Dataset):
-    if fit.n != dataset.n:
-        raise ValueError("fit and dataset lengths do not match")
+def fitted_values(dataset: Dataset, fit_or_values) -> np.ndarray:
+    """Fitted values of a :class:`ConvexFit` or a raw array, one per design
+    point; a raw array must also be finite and within :data:`SCALE_LIMIT`."""
+    raw = not isinstance(fit_or_values, ConvexFit)
+    values = np.asarray(fit_or_values, dtype=float) if raw else fit_or_values.fitted
+    if values.shape != dataset.x.shape:
+        raise ValueError("fitted values must match the dataset length")
+    if raw:
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite fitted values")
+        _check_scale(dataset.weights, values, "fitted")
+    return values
 
 
 def _check_domain(t):
@@ -296,28 +319,28 @@ def _check_domain(t):
 def evaluate(fit: ConvexFit, dataset: Dataset, t):
     """Fitted value at t in [0, 1]: interpolation inside the design hull,
     linear continuation of the boundary segments outside."""
-    _check_consistent(fit, dataset)
+    fitted = fitted_values(dataset, fit)
     t = _check_domain(t)
-    out = piecewise_values(dataset.x, fit.fitted, t)
+    out = piecewise_values(dataset.x, fitted, t)
     return float(out) if np.ndim(t) == 0 else out
 
 
 def left_derivative(fit: ConvexFit, dataset: Dataset, t):
     """Left derivative of the fit at t; equals the first segment slope for
     t <= x_1 and the last segment slope for t > x_n.  Nondecreasing in t."""
-    _check_consistent(fit, dataset)
+    fitted = fitted_values(dataset, fit)
     t = _check_domain(t)
-    out = piecewise_left_slopes(dataset.x, fit.fitted, t)
+    out = piecewise_left_slopes(dataset.x, fitted, t)
     return float(out) if np.ndim(t) == 0 else out
 
 
 def hinge_representation(fit: ConvexFit, dataset: Dataset):
     """Return (intercept, base_slope, hinge_coeffs), checking that the hinge
     form reproduces the fitted values to 1e-10 * (1 + max|fitted|)."""
-    _check_consistent(fit, dataset)
+    fitted = fitted_values(dataset, fit)
     recon = fit.hinge_values(dataset, dataset.x)
-    scale = 1.0 + float(np.max(np.abs(fit.fitted)))
-    err = float(np.max(np.abs(recon - fit.fitted)))
+    scale = 1.0 + float(np.max(np.abs(fitted)))
+    err = float(np.max(np.abs(recon - fitted)))
     if err > 1e-10 * scale:
         raise ValueError(f"hinge representation drift {err:.3e} exceeds tolerance")
     return fit.intercept, fit.base_slope, fit.hinge_coeffs

@@ -2,12 +2,13 @@
 
 Scenario generators draw uniform designs with Gaussian noise around either a
 flat-bottomed polynomial mean (vanishing derivatives of orders 2..r-1 at the
-center) or an affine mean.  The rate study pools log absolute bias at a query
-point against log sample size and reports the fitted slope.  The invelope
-simulators fit the convex estimator to canonical drifted-noise data on a
-uniform grid, which approximates the second and third derivatives of the
-limiting invelope process at a point.  The local error and boundary studies
-record argmin errors and boundary overshoots per replicate.
+center) or an affine mean, both times the constant ``AMPLITUDE``.  The rate
+study pools log absolute bias at a query point against log sample size and
+reports the fitted slope.  The invelope simulators fit the convex estimator
+to canonical drifted-noise data on a uniform grid, which approximates the
+second and third derivatives of the limiting invelope process at a point.
+The local error and boundary studies record argmin errors and boundary
+overshoots per replicate.
 
 Randomness is counter-based (Philox) and keyed by entropy tuples so every
 draw is reproducible bit-for-bit and replicates can run in any order or in
@@ -22,7 +23,8 @@ parallel without changing results:
 Every study maps its replicates through one helper, which runs them on a
 process pool in strided chunks when ``CONVEXREG_THREADS`` is set above 1;
 results are put back in task order, so the parallel schedule never changes
-the output.
+the output.  A study function's parameters are the flags of its CLI
+subcommand, and the command records them as the artifact's configuration.
 """
 
 import math
@@ -42,6 +44,8 @@ _STREAM_FLAT_INVELOPE = 4
 _STREAM_BOUNDARY = 5
 
 _KIND_CODES = {"vanishing": 0, "affine": 1}
+
+AMPLITUDE = 2.0  # scale of every scenario mean
 
 DEFAULT_RATE_GRID = tuple(
     int(round(v)) for v in np.geomspace(500.0, 10000.0, 10)
@@ -71,9 +75,9 @@ def thread_count() -> int:
     return max(1, value)
 
 
-def _run_tasks(fn, tasks, threads=None):
-    """Map fn over tasks and return the results in task order; pooled when
-    threads > 1.
+def _run_tasks(fn, tasks):
+    """Map fn over tasks and return the results in task order; pooled on
+    :func:`thread_count` workers when that is above 1.
 
     The pool gets 4 strided chunks per worker: chunk j holds tasks j,
     j + 4w, j + 8w, ...  Study grids list tasks by ascending sample size, so
@@ -82,8 +86,7 @@ def _run_tasks(fn, tasks, threads=None):
     """
     if not tasks:
         raise ValueError("need at least 1 replicate")
-    workers = thread_count() if threads is None else max(1, int(threads))
-    workers = min(workers, len(tasks))
+    workers = min(thread_count(), len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
     # imported here so serial commands (fit included) skip loading multiprocessing
@@ -106,16 +109,16 @@ def _map_chunk(fn, chunk):
 class ScenarioSpec:
     """One synthetic regression scenario.
 
-    ``kind`` is "vanishing" (mean amplitude*(x-1/2)^r with even r >= 2) or
-    "affine" (mean amplitude*(x-1/2)); noise is i.i.d. normal with standard
-    deviation ``sigma``; the design is i.i.d. uniform on [0, 1].
+    ``kind`` is "vanishing" (mean AMPLITUDE*(x-1/2)^r with even r >= 2) or
+    "affine" (mean AMPLITUDE*(x-1/2)); the amplitude is a constant.  Noise is
+    i.i.d. normal with finite standard deviation ``sigma``; the design is
+    i.i.d. uniform on [0, 1].
     """
 
     kind: str
     n: int
     seed: int
     r: int = 2
-    amplitude: float = 2.0
     sigma: float = 1.0
 
     def __post_init__(self):
@@ -125,8 +128,8 @@ class ScenarioSpec:
             raise ValueError("r must be an even integer >= 2")
         if self.n < 10:
             raise ValueError("n must be at least 10")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -134,9 +137,9 @@ class ScenarioSpec:
 def true_mean(spec: ScenarioSpec, t):
     t = np.asarray(t, dtype=float)
     if spec.kind == "vanishing":
-        out = spec.amplitude * _int_power(t - 0.5, spec.r)
+        out = AMPLITUDE * _int_power(t - 0.5, spec.r)
     else:
-        out = spec.amplitude * (t - 0.5)
+        out = AMPLITUDE * (t - 0.5)
     return float(out) if out.ndim == 0 else out
 
 
@@ -157,8 +160,8 @@ def _int_power(base: np.ndarray, r: int) -> np.ndarray:
 def generate_scenario(spec: ScenarioSpec) -> Dataset:
     """Draw the scenario dataset; identical spec and seed give identical bytes.
 
-    sigma and amplitude only rescale the draws, so runs with the same
-    (kind, r, n, seed) share the same underlying design and noise.
+    sigma only rescales the noise, so runs with the same (kind, r, n, seed)
+    share the same underlying design and noise.
     """
     rng = rng_from_key(_STREAM_SCENARIO, _KIND_CODES[spec.kind], spec.r, spec.n, spec.seed)
     x = rng.random(spec.n)
@@ -190,9 +193,9 @@ class RateStudyResult:
 
 
 def _rate_task(args):
-    kind, r, amplitude, sigma, n, replicate, base_seed, x0 = args
+    kind, r, sigma, n, replicate, base_seed, x0 = args
     seed = mix_seed(base_seed, n, replicate)
-    spec = ScenarioSpec(kind=kind, n=n, seed=seed, r=r, amplitude=amplitude, sigma=sigma)
+    spec = ScenarioSpec(kind=kind, n=n, seed=seed, r=r, sigma=sigma)
     dataset = generate_scenario(spec)
     fit, _ = fit_convex_lse(dataset)
     bias = abs(evaluate(fit, dataset, x0) - true_mean(spec, x0))
@@ -222,9 +225,9 @@ def _study_grid(n_grid) -> list[int]:
     return grid
 
 
-def rate_study(scenario_kind: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
-               x0: float = 0.5, seed: int = 0, r: int = 4, sigma: float = 1.0,
-               amplitude: float = 2.0, threads=None) -> RateStudyResult:
+def rate_study(scenario: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
+               x0: float = 0.5, seed: int = 0, r: int = 4,
+               sigma: float = 1.0) -> RateStudyResult:
     """Fit one estimator per (n, replicate), record log absolute bias at x0,
     and regress it on log n pooled over every record.
 
@@ -236,15 +239,14 @@ def rate_study(scenario_kind: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 1
     n_grid = _study_grid(n_grid)
     if replicates < 20:
         raise ValueError("need at least 20 replicates")
-    probe = ScenarioSpec(kind=scenario_kind, n=max(n_grid), seed=0, r=r,
-                         amplitude=amplitude, sigma=sigma)
+    probe = ScenarioSpec(kind=scenario, n=max(n_grid), seed=0, r=r, sigma=sigma)
     zero_floor = 1e-12 * (1.0 + abs(true_mean(probe, x0)))
     tasks = [
-        (scenario_kind, r, amplitude, sigma, n, rep, seed, x0)
+        (scenario, r, sigma, n, rep, seed, x0)
         for n in n_grid
         for rep in range(replicates)
     ]
-    rows = _run_tasks(_rate_task, tasks, threads)
+    rows = _run_tasks(_rate_task, tasks)
     records = []
     skipped = 0
     for n, rep, child, bias in rows:
@@ -364,7 +366,7 @@ def _invelope_task(args):
 
 
 def invelope_study(scenario: str, m: int, replicates: int, seed: int = 0, r: int = 2,
-                   c: float = 4.0, x0: float = 0.5, refine: bool = False, threads=None):
+                   c: float = 4.0, x0: float = 0.5, refine: bool = False):
     """``(replicate, seed, sample)`` per replicate of the drift ("vanishing")
     or zero-drift ("affine") simulator on the m-point grid, with seed
     ``mix_seed(seed, m, replicate)``; ``refine`` appends the same seeds drawn
@@ -375,7 +377,7 @@ def invelope_study(scenario: str, m: int, replicates: int, seed: int = 0, r: int
         for grid in ((m, 2 * m) if refine else (m,))
         for rep, child in enumerate(seeds)
     ]
-    return tuple(_run_tasks(_invelope_task, tasks, threads))
+    return tuple(_run_tasks(_invelope_task, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +398,6 @@ class LocalErrorRecord:
 @dataclass(frozen=True)
 class LocalErrorStudy:
     r: int
-    x0: float
     records: tuple[LocalErrorRecord, ...]
 
     def by_n(self, field: str) -> dict[int, np.ndarray]:
@@ -407,16 +408,13 @@ class LocalErrorStudy:
 
 
 def _local_error_task(args):
-    r, amplitude, sigma, n, replicate, base_seed, x0 = args
+    r, sigma, n, replicate, base_seed = args
     seed = mix_seed(base_seed, n, replicate)
-    spec = ScenarioSpec(kind="vanishing", n=n, seed=seed, r=r,
-                        amplitude=amplitude, sigma=sigma)
-    dataset = generate_scenario(spec)
+    dataset = generate_scenario(ScenarioSpec(kind="vanishing", n=n, seed=seed, r=r, sigma=sigma))
     fit, _ = fit_convex_lse(dataset)
-    value_err = abs(evaluate(fit, dataset, x0) - true_mean(spec, x0))
-    # the centered polynomial mean has zero derivative at its minimum
-    deriv_true = spec.amplitude * spec.r * (x0 - 0.5) ** (spec.r - 1)
-    deriv_err = abs(left_derivative(fit, dataset, x0) - deriv_true)
+    # the mean and its slope vanish at the minimum 1/2: the errors are |value|, |slope|
+    value_err = abs(evaluate(fit, dataset, 0.5))
+    deriv_err = abs(left_derivative(fit, dataset, 0.5))
     am = argmin_estimator(fit, dataset)
     return LocalErrorRecord(
         n=n, replicate=replicate, seed=seed,
@@ -425,18 +423,17 @@ def _local_error_task(args):
     )
 
 
-def local_error_study(r: int, n_grid, replicates: int, seed: int = 0, x0: float = 0.5,
-                      sigma: float = 1.0, amplitude: float = 2.0,
-                      threads=None) -> LocalErrorStudy:
-    """Per-replicate pointwise value, derivative and argmin errors for the
-    flat-bottomed scenario with minimum at 1/2."""
+def local_error_study(r: int, n_grid, replicates: int, seed: int = 0,
+                      sigma: float = 1.0) -> LocalErrorStudy:
+    """Per-replicate value, derivative and argmin errors at 1/2, the minimum
+    of the flat-bottomed scenario."""
     tasks = [
-        (r, amplitude, sigma, n, rep, seed, x0)
+        (r, sigma, n, rep, seed)
         for n in _study_grid(n_grid)
         for rep in range(replicates)
     ]
-    records = _run_tasks(_local_error_task, tasks, threads)
-    return LocalErrorStudy(r=r, x0=x0, records=tuple(records))
+    records = _run_tasks(_local_error_task, tasks)
+    return LocalErrorStudy(r=r, records=tuple(records))
 
 
 @dataclass(frozen=True)
@@ -453,11 +450,11 @@ def _boundary_mean(t):
 
 
 def _boundary_task(args):
-    n, replicate, base_seed, sigma, epsilon = args
+    n, replicate, base_seed, epsilon = args
     seed = mix_seed(base_seed, n, replicate)
     rng = rng_from_key(_STREAM_BOUNDARY, n, seed)
     x = rng.random(n)
-    y = _boundary_mean(x) + sigma * rng.standard_normal(n)
+    y = _boundary_mean(x) + rng.standard_normal(n)
     dataset = Dataset.from_arrays(x, y)
     fit, _ = fit_convex_lse(dataset)
     value0 = boundary_diagnostics(fit, dataset).value_at_0
@@ -465,22 +462,21 @@ def _boundary_task(args):
 
 
 def boundary_inconsistency_study(n_grid, replicates: int, seed: int = 0,
-                                 epsilon: float = 0.05, sigma: float = 1.0,
-                                 threads=None) -> BoundaryStudyResult:
+                                 epsilon: float = 0.05) -> BoundaryStudyResult:
     """Frequency of the extrapolated boundary value overshooting the true
     boundary mean by a factor 1 + epsilon, per sample size.
 
-    The study model is 1 - t + t^2: convex, strictly decreasing at 0 with
-    value 1, so a consistent estimator would drive the frequency to zero;
-    the convex fit keeps it bounded away from zero instead.
+    The study model is 1 - t + t^2 plus standard normal noise: convex,
+    strictly decreasing at 0 with value 1, so a consistent estimator would
+    drive the frequency to zero; the convex fit keeps it bounded away.
     """
     n_grid = _study_grid(n_grid)
     tasks = [
-        (n, rep, seed, sigma, epsilon)
+        (n, rep, seed, epsilon)
         for n in n_grid
         for rep in range(replicates)
     ]
-    rows = _run_tasks(_boundary_task, tasks, threads)
+    rows = _run_tasks(_boundary_task, tasks)
     counts: dict[int, int] = {n: 0 for n in n_grid}
     for n, hit in rows:
         counts[n] += int(hit)

@@ -49,7 +49,7 @@ into the kinks by one stable argsort.
 import numpy as np
 from dataclasses import dataclass
 
-from .model import KKT_TOL, ConvexFit, Dataset, check_kkt_tol
+from .model import KKT_TOL, ConvexFit, Dataset, check_kkt_tol, fitted_values
 
 # linear solves per design point a fit may spend
 _SOLVES_PER_POINT = 50
@@ -105,10 +105,7 @@ class SolverError(RuntimeError):
 
 def kkt_sums(dataset: Dataset, fit_or_values) -> KktSums:
     """Exact cumulative certificate sums for any fitted-value vector."""
-    fitted = _fitted_of(fit_or_values)
-    if fitted.shape != dataset.x.shape:
-        raise ValueError("fitted values must match the dataset length")
-    cum, total_gap = _cumulative_sums(dataset, fitted)
+    cum, total_gap = _cumulative_sums(dataset, fitted_values(dataset, fit_or_values))
     return KktSums(cum=cum, total_gap=total_gap)
 
 
@@ -121,12 +118,6 @@ def _cumulative_sums(dataset: Dataset, fitted: np.ndarray) -> tuple[np.ndarray, 
 def certificate_scale(dataset: Dataset) -> float:
     """Normalizer for certificate sums: total weight times (1 + max|y|)."""
     return dataset.total_weight * dataset.response_scale
-
-
-def _fitted_of(fit_or_values) -> np.ndarray:
-    if isinstance(fit_or_values, ConvexFit):
-        return fit_or_values.fitted
-    return np.asarray(fit_or_values, dtype=float)
 
 
 class _HingeSystem:

@@ -108,3 +108,22 @@ def repeat_run_moments(dataset, bounds):
     v = (np.repeat(knots[1:], counts) - xs) / gap
     terms = np.array([ws * v * v, ws * u * v, ws * u * u, ws * v * ys, ws * u * ys])
     return np.add.reduceat(terms, bounds[:-1] - start, axis=1).T
+
+
+def scaled_design(scale):
+    """n = 200 sorted uniform abscissae and standard normal responses times
+    ``scale`` (the responses of ``scale = 1`` have kinks (1, 163))."""
+    x = np.sort(np.random.default_rng(1).random(200))
+    return x, scale * np.random.default_rng(2).standard_normal(200)
+
+
+def largest_accepted_scale():
+    """The largest ``scale`` whose :func:`scaled_design` responses meet the
+    dataset's ``total_weight * (1 + max|y|)**2 <= SCALE_LIMIT``."""
+    from convexreg.model import SCALE_LIMIT
+
+    _, z = scaled_design(1.0)
+    scale = (np.sqrt(SCALE_LIMIT / z.size) - 1.0) / np.max(np.abs(z))
+    while z.size * (1.0 + np.max(np.abs(scale * z))) ** 2 > SCALE_LIMIT:
+        scale = np.nextafter(scale, 0.0)
+    return float(scale)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from convexreg.cli import main
 from convexreg.output import fmt
 from convexreg.simulation import mix_seed
 
-from helpers import near_duplicate_design
+from helpers import largest_accepted_scale, near_duplicate_design, scaled_design
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -141,6 +142,36 @@ def test_nonpositive_tol_is_an_input_error(tmp_path, capsys, command, tol):
     assert main([command, "--input", str(src), "--output", str(out), "--tol", tol]) == 2
     assert "input error: kkt_tol must be strictly positive" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _write_rows(path, header, columns):
+    path.write_text(header + "\n" + "".join(
+        ",".join(fmt(float(v)) for v in row) + "\n" for row in zip(*columns)))
+
+
+@pytest.mark.parametrize("case", ["fit", "check", "check_fitted"])
+def test_data_beyond_the_scale_limit_exit_2_without_output(tmp_path, capsys, case):
+    from convexreg.model import SCALE_LIMIT
+
+    src = tmp_path / "in.csv"
+    x, y = scaled_design(1e306 if case != "check_fitted" else 1.0)
+    if case == "fit":
+        _write_rows(src, "x,y", (x, y))
+    else:
+        _write_rows(src, "x,y,fitted", (x, y, 1e160 * y if case == "check_fitted" else y))
+    out = tmp_path / "out.json"
+    assert main([case.split("_")[0], "--input", str(src), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"must not exceed {SCALE_LIMIT:g}" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+
+def test_fit_at_the_largest_accepted_scale(tmp_path):
+    code, out = run_fit(tmp_path, *scaled_design(largest_accepted_scale()))
+    assert code == 0
+    blob = json.loads(out.read_text())
+    assert blob["certificate"]["passed"] is True
+    assert blob["kinks"] == [1, 163] and np.isfinite(blob["objective"])
 
 
 def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
@@ -334,8 +365,11 @@ def test_study_commands_rerun_byte_identical(tmp_path, argv):
         ["invelope", "--scenario", "affine", "--m", "250", "--replicates", "5",
          "--seed", "4", "--x0", "0.25"],
         ["boundary", "--n-grid", "100,200", "--replicates", "6", "--seed", "3"],
+        ["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "20",
+         "--seed", "9", "--sigma", "0.5", "--x0", "0.3"],
+        ["argmin", "--n-grid", "80,160", "--replicates", "4", "--seed", "2", "--sigma", "0.7"],
     ],
-    ids=["invelope_drift", "invelope_affine", "boundary"],
+    ids=["invelope_drift", "invelope_affine", "boundary", "rates", "argmin"],
 )
 def test_study_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
     artifacts = {}
@@ -434,6 +468,50 @@ def test_bad_study_flags_exit_2_before_writing(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["rates", "--scenario", "affine", "--x0", "nan"], "--x0"),
+        (["rates", "--scenario", "affine", "--sigma", "inf"], "--sigma"),
+        (["argmin", "--sigma", "nan"], "--sigma"),
+        (["boundary", "--epsilon", "nan"], "--epsilon"),
+        (["invelope", "--c", "inf"], "--c"),
+        (["invelope", "--scenario", "affine", "--x0=-inf"], "--x0"),
+    ],
+    ids=["rates_x0", "rates_sigma", "argmin_sigma", "boundary_epsilon", "invelope_c",
+         "invelope_x0"],
+)
+def test_non_finite_study_flags_exit_2_at_parse_time(tmp_path, capsys, monkeypatch, argv, flag):
+    import convexreg.simulation as simulation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulation, "_run_tasks", never)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--output", str(tmp_path / "artifact")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_study_parameters_are_the_command_flags():
+    # one name list per study: the study runs on exactly its command's flags
+    # (--output aside), and the command records them as the artifact config
+    import convexreg.simulation as simulation
+
+    studies = {"rates": simulation.rate_study, "argmin": simulation.local_error_study,
+               "boundary": simulation.boundary_inconsistency_study,
+               "invelope": simulation.invelope_study}
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if action.dest == "command")
+    assert set(studies) < set(subparsers)
+    for command, study in studies.items():
+        dests = {action.dest for action in subparsers[command]._actions} - {"help", "output"}
+        assert set(inspect.signature(study).parameters) == dests, command
 
 
 def test_invelope_refinement_stability(tmp_path):

@@ -16,7 +16,13 @@ from convexreg import (
 from convexreg.oracle import enumerate_convex_lse
 from convexreg.solver import certificate_scale
 
-from helpers import near_duplicate_design, noisy_convex_dataset, random_dataset
+from helpers import (
+    largest_accepted_scale,
+    near_duplicate_design,
+    noisy_convex_dataset,
+    random_dataset,
+    scaled_design,
+)
 
 
 def oracle_fit(dataset):
@@ -242,6 +248,39 @@ class TestCharacterizationReport:
         ds = random_dataset(21, n=12)
         report = characterization_report(ds, np.zeros(12))
         assert not report.passed
+
+    def test_rejects_wrong_columns_at_the_largest_accepted_scale(self):
+        # the normalizers stay finite, so a zero column, the mean and the
+        # least-squares line all fail while the fit passes
+        ds = Dataset.from_arrays(*scaled_design(largest_accepted_scale()))
+        fit, trace = fit_convex_lse(ds)
+        assert np.isfinite(trace.final_objective)
+        assert fit.kinks == fit_convex_lse(Dataset.from_arrays(*scaled_design(1.0)))[0].kinks
+        assert characterization_report(ds, fit).passed
+        slope, intercept = np.polyfit(ds.x, ds.y, 1)
+        for wrong in (np.zeros(ds.n), np.full(ds.n, ds.y.mean()), intercept + slope * ds.x):
+            assert not characterization_report(ds, wrong).passed
+
+    @pytest.mark.parametrize("column", ["huge", "nan", "inf"])
+    def test_rejects_raw_columns_beyond_the_scale_limit(self, column):
+        ds = Dataset.from_arrays(*scaled_design(1.0))
+        values = {"huge": 1e160 * ds.y, "nan": np.where(ds.x < 0.5, ds.y, np.nan),
+                  "inf": np.where(ds.x < 0.5, ds.y, np.inf)}[column]
+        message = "must not exceed" if column == "huge" else "non-finite fitted values"
+        for check in (characterization_report, kkt_sums, ConvexFit.from_values):
+            with pytest.raises(ValueError, match=message):
+                check(ds, values)
+
+    def test_nan_violation_fails(self):
+        # max(0.0, nan) is 0.0: a NaN violation once read as a pass
+        ds = random_dataset(21, n=12)
+        fit = ConvexFit(fitted=np.full(12, np.nan), kinks=(), intercept=0.0,
+                        base_slope=0.0, hinge_coeffs=())
+        report = characterization_report(ds, fit)
+        assert not report.passed
+        assert len(report.conditions) == 5
+        for c in report.conditions:
+            assert np.isnan(c.worst) and not c.passed, c.name
 
 
 class TestResidualSumIdentities:

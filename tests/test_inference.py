@@ -83,6 +83,25 @@ class TestBoundary:
             assert np.all(slopes >= b.deriv_at_0 - 1e-10)
             assert np.all(slopes <= b.deriv_at_1 + 1e-10)
 
+    def test_matches_the_boundary_segment_continuation(self):
+        # the evaluators continue the first and last segments linearly; on
+        # designs that start at 0 or end at 1 they read the end values
+        for seed in range(60):
+            rng = np.random.default_rng(900 + seed)
+            x = np.sort(rng.random(int(rng.integers(3, 40))))
+            if seed % 3 == 0:
+                x[0] = 0.0
+            if seed % 5 == 0:
+                x[-1] = 1.0
+            y = 4.0 * (x - rng.random()) ** 2 + rng.standard_normal(x.size)
+            ds = Dataset.from_arrays(x, y)
+            fit, _ = fit_convex_lse(ds)
+            f, x = fit.fitted, ds.x
+            s0, s1 = (f[1] - f[0]) / (x[1] - x[0]), (f[-1] - f[-2]) / (x[-1] - x[-2])
+            b = boundary_diagnostics(fit, ds)
+            assert (b.value_at_0, b.deriv_at_0, b.value_at_1, b.deriv_at_1) == (
+                f[0] - s0 * x[0], s0, f[-1] + s1 * (1.0 - x[-1]), s1)
+
     def test_overshoot_frequency_stays_positive(self):
         study = boundary_inconsistency_study((500, 2000), replicates=40, seed=5)
         assert all(f >= 0.05 for f in study.frequencies.values())

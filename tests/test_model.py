@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,9 +12,9 @@ from convexreg import (
     hinge_representation,
     left_derivative,
 )
-from convexreg.model import cone_violation
+from convexreg.model import SCALE_LIMIT, cone_violation
 
-from helpers import random_convex_values, random_dataset
+from helpers import largest_accepted_scale, random_convex_values, random_dataset, scaled_design
 
 
 def line_fit(x_points, slope=1.0, intercept=0.0):
@@ -131,6 +133,24 @@ class TestBuildDataset:
     def test_direct_construction_keeps_every_check(self, x, y, w, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Dataset(x=np.array(x), y=np.array(y), weights=np.array(w))
+
+    @pytest.mark.parametrize("scale", [1e306, 1e200])
+    def test_rejects_responses_beyond_the_scale_limit(self, scale):
+        # at 1e306 the certificate scale overflowed to inf and certified a
+        # kinkless fit; at 1e200 the objective overflowed
+        x, y = scaled_design(scale)
+        for build in (lambda: Dataset.from_arrays(x, y),
+                      lambda: Dataset(x=x, y=y, weights=np.ones(x.size))):
+            with pytest.raises(ValueError, match=re.escape(f"must not exceed {SCALE_LIMIT:g}")):
+                build()
+
+    def test_scale_limit_counts_the_total_weight(self):
+        # unit weights accept y = 1e149; weights of 1e4 put the same y past the limit
+        x = np.array([0.1, 0.5, 0.9])
+        y = np.array([1e149, 0.0, 1e149])
+        Dataset(x=x, y=y, weights=np.ones(3))
+        with pytest.raises(ValueError, match="too large"):
+            Dataset(x=x, y=y, weights=np.full(3, 1e4))
 
     def test_direct_construction_copies(self):
         x, y, w = np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.ones(2)

@@ -14,6 +14,7 @@ from convexreg import (
     true_mean,
 )
 from convexreg.simulation import (
+    AMPLITUDE,
     DEFAULT_RATE_GRID,
     _int_power,
     _run_tasks,
@@ -48,9 +49,10 @@ class TestGenerateScenario:
         assert np.max(np.abs(fit.fitted - ds.y)) < 1e-10
 
     def test_true_mean(self):
-        spec = ScenarioSpec(kind="vanishing", n=10, seed=0, r=2, amplitude=3.0)
+        spec = ScenarioSpec(kind="vanishing", n=10, seed=0, r=2)
+        assert AMPLITUDE == 2.0
         assert true_mean(spec, 0.5) == 0.0
-        assert true_mean(spec, 1.0) == pytest.approx(0.75)
+        assert true_mean(spec, 1.0) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("r", range(2, 9))
     def test_integer_power_matches_pow(self, r):
@@ -61,9 +63,9 @@ class TestGenerateScenario:
         if r == 2:
             assert np.array_equal(power, np.square(base))
         if r % 2 == 0:
-            spec = ScenarioSpec(kind="vanishing", n=10, seed=0, r=r, amplitude=3.0)
-            assert np.array_equal(true_mean(spec, base + 0.5), 3.0 * _int_power(base, r))
-            assert true_mean(spec, 0.0) == 3.0 * 0.5**r
+            spec = ScenarioSpec(kind="vanishing", n=10, seed=0, r=r)
+            assert np.array_equal(true_mean(spec, base + 0.5), AMPLITUDE * _int_power(base, r))
+            assert true_mean(spec, 0.0) == AMPLITUDE * 0.5**r
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -72,6 +74,8 @@ class TestGenerateScenario:
             dict(kind="vanishing", n=50, seed=0, r=3),
             dict(kind="vanishing", n=5, seed=0),
             dict(kind="affine", n=50, seed=0, sigma=-1.0),
+            dict(kind="affine", n=50, seed=0, sigma=float("nan")),
+            dict(kind="affine", n=50, seed=0, sigma=float("inf")),
             dict(kind="affine", n=50, seed=-1),
         ],
     )
@@ -242,10 +246,11 @@ def test_thread_pool_matches_serial(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [1, 7, 8, 9, 200])
-def test_pooled_results_come_back_in_task_order(count):
+def test_pooled_results_come_back_in_task_order(monkeypatch, count):
     # 2 workers make 8 strided chunks, so counts below 8 leave some empty
+    monkeypatch.setenv("CONVEXREG_THREADS", "2")
     tasks = list(range(count))
-    assert _run_tasks(str, tasks, threads=2) == [str(t) for t in tasks]
+    assert _run_tasks(str, tasks) == [str(t) for t in tasks]
 
 
 def test_default_grid_shape():
