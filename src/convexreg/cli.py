@@ -122,11 +122,13 @@ def _finite_float(text):
     return value
 
 
-def _run_study(study, args, **parsed):
-    """Run ``study`` on its subcommand's flags but ``--output``, ``parsed``
-    replacing a flag's raw text; return the result and the artifact config:
-    the command, exactly the keyword arguments the study ran with, the output."""
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "run", "output")}
+def _run_study(study, args, unread=(), **parsed):
+    """Run ``study`` on its subcommand's flags but ``--output`` and the
+    ``unread`` ones, ``parsed`` replacing a flag's raw text; return the result
+    and the artifact config: the command, exactly the keyword arguments the
+    study ran with, the output."""
+    skip = ("command", "run", "output", *unread)
+    params = {k: v for k, v in vars(args).items() if k not in skip}
     params.update(parsed)
     return study(**params), {"command": args.command, **params, "output": args.output}
 
@@ -136,6 +138,15 @@ def _base_path(output):
         if output.endswith(suffix):
             return output[: -len(suffix)]
     return output
+
+
+def _write_study(config, header, rows, summary):
+    """Write a study's artifact pair at the base of ``config["output"]``:
+    ``<base>.csv`` (the config line, ``header``, one line per row) and
+    ``<base>.json`` (``summary`` with the config under ``"config"``)."""
+    base = _base_path(config["output"])
+    write_csv(base + ".csv", config, header, rows)
+    write_json(base + ".json", {"config": config, **summary})
 
 
 def cmd_fit(args) -> int:
@@ -226,20 +237,12 @@ def cmd_rates(args) -> int:
 
     grid = DEFAULT_RATE_GRID if args.n_grid is None else _parse_grid(args.n_grid)
     result, resolved = _run_study(rate_study, args, n_grid=grid)
-    base = _base_path(args.output)
-    write_csv(
-        base + ".csv",
+    _write_study(
         resolved,
         ("scenario", "r", "n", "replicate", "seed", "bias", "log_n", "log_abs_bias"),
-        (
-            (args.scenario, args.r, rec.n, rec.replicate, rec.seed,
-             rec.bias, rec.log_n, rec.log_abs_bias)
-            for rec in result.records
-        ),
-    )
-    write_json(
-        base + ".json",
-        {"config": resolved, "slope": result.slope, "stderr": result.slope_stderr,
+        [(args.scenario, args.r, rec.n, rec.replicate, rec.seed,
+          rec.bias, rec.log_n, rec.log_abs_bias) for rec in result.records],
+        {"slope": result.slope, "stderr": result.slope_stderr,
          "skipped": result.skipped, "records": len(result.records)},
     )
     print(f"slope {result.slope:.6f} stderr {result.slope_stderr:.6f} "
@@ -252,25 +255,14 @@ def cmd_invelope(args) -> int:
 
     if args.refine and args.replicates < 2:
         raise InputError("--refine needs at least 2 replicates")
-    results, resolved = _run_study(invelope_study, args)
+    # each variant runs on, and records, only the flags it reads; refine only when set
+    unread = ("r", "c") if args.scenario == "affine" else ("x0",)
     if not args.refine:
-        del resolved["refine"]  # recorded only when set
-    base = _base_path(args.output)
-    write_csv(
-        base + ".csv",
-        resolved,
-        ("scenario", "r", "c", "m", "replicate", "seed", "h2", "h3",
-         "argmin", "query_point", "min_envelope_gap", "kink_envelope_gap"),
-        (
-            (args.scenario, s.r, s.c, s.m, rep, child, s.h2_at_0, s.h3_at_0,
-             s.argmin_h2, s.query_point, s.min_envelope_gap, s.kink_envelope_gap)
-            for rep, child, s in results
-        ),
-    )
+        unread += ("refine",)
+    results, resolved = _run_study(invelope_study, args, unread=unread)
     h2_all = np.asarray([s.h2_at_0 for _, _, s in results])
     h2 = h2_all[: args.replicates]
     summary = {
-        "config": resolved,
         "h2_mean": float(h2.mean()),
         "h2_var": float(h2.var(ddof=1)) if h2.size > 1 else 0.0,
         "h2_mean_stderr": float(h2.std(ddof=1) / math.sqrt(h2.size)) if h2.size > 1 else 0.0,
@@ -280,7 +272,15 @@ def cmd_invelope(args) -> int:
              f"({h2.size} replicates)"]
     if args.refine:
         summary["refinement"] = _refinement(args.m, h2, h2_all[args.replicates:], lines)
-    write_json(base + ".json", summary)
+    _write_study(
+        resolved,
+        ("scenario", "r", "c", "m", "replicate", "seed", "h2", "h3",
+         "argmin", "query_point", "min_envelope_gap", "kink_envelope_gap"),
+        [(args.scenario, s.r, s.c, s.m, rep, child, s.h2_at_0, s.h3_at_0,
+          s.argmin_h2, s.query_point, s.min_envelope_gap, s.kink_envelope_gap)
+         for rep, child, s in results],
+        summary,
+    )
     print("\n".join(lines))
     return 0
 
@@ -314,19 +314,6 @@ def cmd_argmin(args) -> int:
 
     study, resolved = _run_study(local_error_study, args, n_grid=_parse_grid(args.n_grid))
     rate = 1.0 / (2 * args.r + 1)
-    base = _base_path(args.output)
-    write_csv(
-        base + ".csv",
-        resolved,
-        ("r", "n", "replicate", "seed", "argmin_location", "argmin_err",
-         "scaled_argmin_err", "value_err", "deriv_err"),
-        (
-            (args.r, rec.n, rec.replicate, rec.seed, rec.argmin_location,
-             rec.argmin_err, rec.n ** rate * rec.argmin_err,
-             rec.value_err, rec.deriv_err)
-            for rec in study.records
-        ),
-    )
     table = {}
     for n, errs in study.by_n("argmin_err").items():
         scaled = n ** rate * errs
@@ -335,7 +322,15 @@ def cmd_argmin(args) -> int:
             "median_scaled": float(np.median(scaled)),
             "p95_scaled": float(np.quantile(scaled, 0.95)),
         }
-    write_json(base + ".json", {"config": resolved, "quantiles": table})
+    _write_study(
+        resolved,
+        ("r", "n", "replicate", "seed", "argmin_location", "argmin_err",
+         "scaled_argmin_err", "value_err", "deriv_err"),
+        [(args.r, rec.n, rec.replicate, rec.seed, rec.argmin_location,
+          rec.argmin_err, rec.n ** rate * rec.argmin_err, rec.value_err, rec.deriv_err)
+         for rec in study.records],
+        {"quantiles": table},
+    )
     for n, q in table.items():
         print(f"n={n}: median|argmin err| {q['median_raw']:.5f} "
               f"scaled median {q['median_scaled']:.4f}")
@@ -347,11 +342,9 @@ def cmd_boundary(args) -> int:
 
     grid = _parse_grid(args.n_grid)
     study, resolved = _run_study(boundary_inconsistency_study, args, n_grid=grid)
-    base = _base_path(args.output)
-    write_csv(base + ".csv", resolved, ("n", "count", "replicates", "frequency"),
-              [(n, study.counts[n], study.replicates, study.frequencies[n]) for n in grid])
-    write_json(base + ".json", {"config": resolved, "counts": study.counts,
-                                "frequencies": study.frequencies})
+    _write_study(resolved, ("n", "count", "replicates", "frequency"),
+                 [(n, study.counts[n], study.replicates, study.frequencies[n]) for n in grid],
+                 {"counts": study.counts, "frequencies": study.frequencies})
     print(f"model 1 - x + x^2, sigma 1, threshold (1 + {args.epsilon}) * value at 0")
     for n in grid:
         print(f"n={n:6d}: overshoot frequency {study.frequencies[n]:.3f} "

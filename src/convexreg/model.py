@@ -238,7 +238,7 @@ class ConvexFit:
     ``hinge_coeffs`` keeps every strictly positive slope increment, at
     indices of the same kind, so that the hinge form reproduces ``fitted``
     exactly (sub-threshold increments stay in the representation but are
-    not reported as kinks).
+    not reported as kinks).  Every value, fitted or hinge, must be finite.
     """
 
     fitted: np.ndarray
@@ -255,6 +255,9 @@ class ConvexFit:
         object.__setattr__(
             self, "hinge_coeffs", tuple((j, float(b)) for j, (_, b) in zip(indices, hinges))
         )
+        scalars = [self.intercept, self.base_slope, *(b for _, b in self.hinge_coeffs)]
+        if not (np.isfinite(self.fitted).all() and np.isfinite(scalars).all()):
+            raise ValueError("non-finite values in fit")
         if any(b <= 0.0 for _, b in self.hinge_coeffs):
             raise ValueError("hinge coefficients must be strictly positive")
 

@@ -20,11 +20,14 @@ parallel without changing results:
     (4, m, seed)                 zero-drift invelope noise
     (5, n, seed)                 boundary-study draws
 
-Every study maps its replicates through one helper, which runs them on a
-process pool in strided chunks when ``CONVEXREG_THREADS`` is set above 1;
-results are put back in task order, so the parallel schedule never changes
-the output.  A study function's parameters are the flags of its CLI
-subcommand, and the command records them as the artifact's configuration.
+Every study's replicate is one task ``(n, replicate, mix_seed(seed, n,
+replicate), ...)``, the study's own parameters following, and
+:func:`_replicate_tasks` builds them all, sizes outermost.  One helper runs
+the tasks on a process pool in strided chunks when ``CONVEXREG_THREADS`` is
+set above 1; results are put back in task order, so the parallel schedule
+never changes the output.  A study function's parameters are the flags of
+its CLI subcommand, and the command records them as the artifact's
+configuration.
 """
 
 import math
@@ -193,8 +196,7 @@ class RateStudyResult:
 
 
 def _rate_task(args):
-    kind, r, sigma, n, replicate, base_seed, x0 = args
-    seed = mix_seed(base_seed, n, replicate)
+    n, replicate, seed, kind, r, sigma, x0 = args
     spec = ScenarioSpec(kind=kind, n=n, seed=seed, r=r, sigma=sigma)
     dataset = generate_scenario(spec)
     fit, _ = fit_convex_lse(dataset)
@@ -225,6 +227,16 @@ def _study_grid(n_grid) -> list[int]:
     return grid
 
 
+def _replicate_tasks(n_grid, replicates, seed, *params):
+    """``(n, replicate, mix_seed(seed, n, replicate), *params)`` for every
+    replicate at every size of the checked grid, sizes outermost."""
+    return [
+        (n, rep, mix_seed(seed, n, rep), *params)
+        for n in _study_grid(n_grid)
+        for rep in range(replicates)
+    ]
+
+
 def rate_study(scenario: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
                x0: float = 0.5, seed: int = 0, r: int = 4,
                sigma: float = 1.0) -> RateStudyResult:
@@ -236,16 +248,12 @@ def rate_study(scenario: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
     degenerate runs reach); the skip count is reported and the study raises
     when every record is skipped (e.g. sigma = 0).
     """
-    n_grid = _study_grid(n_grid)
+    tasks = _replicate_tasks(n_grid, replicates, seed, scenario, r, sigma, x0)
     if replicates < 20:
         raise ValueError("need at least 20 replicates")
-    probe = ScenarioSpec(kind=scenario, n=max(n_grid), seed=0, r=r, sigma=sigma)
+    # the last task has the largest size
+    probe = ScenarioSpec(kind=scenario, n=tasks[-1][0], seed=0, r=r, sigma=sigma)
     zero_floor = 1e-12 * (1.0 + abs(true_mean(probe, x0)))
-    tasks = [
-        (scenario, r, sigma, n, rep, seed, x0)
-        for n in n_grid
-        for rep in range(replicates)
-    ]
     rows = _run_tasks(_rate_task, tasks)
     records = []
     skipped = 0
@@ -359,7 +367,7 @@ def simulate_affine_invelope(m: int = 2000, seed: int = 0, query: float = 0.5) -
 
 
 def _invelope_task(args):
-    scenario, r, c, m, replicate, seed, x0 = args
+    m, replicate, seed, scenario, r, c, x0 = args
     if scenario == "affine":
         return replicate, seed, simulate_affine_invelope(m, seed, query=x0)
     return replicate, seed, simulate_invelope(r, c, m, seed)
@@ -371,12 +379,9 @@ def invelope_study(scenario: str, m: int, replicates: int, seed: int = 0, r: int
     or zero-drift ("affine") simulator on the m-point grid, with seed
     ``mix_seed(seed, m, replicate)``; ``refine`` appends the same seeds drawn
     on the 2m-point grid."""
-    seeds = [mix_seed(seed, m, rep) for rep in range(replicates)]
-    tasks = [
-        (scenario, r, c, grid, rep, child, x0)
-        for grid in ((m, 2 * m) if refine else (m,))
-        for rep, child in enumerate(seeds)
-    ]
+    tasks = _replicate_tasks([m], replicates, seed, scenario, r, c, x0)
+    if refine:
+        tasks += [(2 * n, *rest) for n, *rest in tasks]
     return tuple(_run_tasks(_invelope_task, tasks))
 
 
@@ -408,8 +413,7 @@ class LocalErrorStudy:
 
 
 def _local_error_task(args):
-    r, sigma, n, replicate, base_seed = args
-    seed = mix_seed(base_seed, n, replicate)
+    n, replicate, seed, r, sigma = args
     dataset = generate_scenario(ScenarioSpec(kind="vanishing", n=n, seed=seed, r=r, sigma=sigma))
     fit, _ = fit_convex_lse(dataset)
     # the mean and its slope vanish at the minimum 1/2: the errors are |value|, |slope|
@@ -427,12 +431,7 @@ def local_error_study(r: int, n_grid, replicates: int, seed: int = 0,
                       sigma: float = 1.0) -> LocalErrorStudy:
     """Per-replicate value, derivative and argmin errors at 1/2, the minimum
     of the flat-bottomed scenario."""
-    tasks = [
-        (r, sigma, n, rep, seed)
-        for n in _study_grid(n_grid)
-        for rep in range(replicates)
-    ]
-    records = _run_tasks(_local_error_task, tasks)
+    records = _run_tasks(_local_error_task, _replicate_tasks(n_grid, replicates, seed, r, sigma))
     return LocalErrorStudy(r=r, records=tuple(records))
 
 
@@ -450,8 +449,7 @@ def _boundary_mean(t):
 
 
 def _boundary_task(args):
-    n, replicate, base_seed, epsilon = args
-    seed = mix_seed(base_seed, n, replicate)
+    n, _, seed, epsilon = args
     rng = rng_from_key(_STREAM_BOUNDARY, n, seed)
     x = rng.random(n)
     y = _boundary_mean(x) + rng.standard_normal(n)
@@ -470,16 +468,10 @@ def boundary_inconsistency_study(n_grid, replicates: int, seed: int = 0,
     strictly decreasing at 0 with value 1, so a consistent estimator would
     drive the frequency to zero; the convex fit keeps it bounded away.
     """
-    n_grid = _study_grid(n_grid)
-    tasks = [
-        (n, rep, seed, epsilon)
-        for n in n_grid
-        for rep in range(replicates)
-    ]
-    rows = _run_tasks(_boundary_task, tasks)
-    counts: dict[int, int] = {n: 0 for n in n_grid}
-    for n, hit in rows:
-        counts[n] += int(hit)
+    tasks = _replicate_tasks(n_grid, replicates, seed, epsilon)
+    counts: dict[int, int] = {}
+    for n, hit in _run_tasks(_boundary_task, tasks):
+        counts[n] = counts.get(n, 0) + int(hit)
     freqs = {n: counts[n] / replicates for n in counts}
     return BoundaryStudyResult(epsilon=epsilon, frequencies=freqs,
                                counts=counts, replicates=replicates)

@@ -514,6 +514,66 @@ def test_study_parameters_are_the_command_flags():
         assert set(inspect.signature(study).parameters) == dests, command
 
 
+def test_study_flag_defaults_are_the_study_defaults(tmp_path, monkeypatch):
+    # every default is written twice, in the parser and in the study's
+    # signature; the two must agree wherever the study has one
+    import convexreg.simulation as simulation
+
+    studies = {"rates": simulation.rate_study, "argmin": simulation.local_error_study,
+               "boundary": simulation.boundary_inconsistency_study,
+               "invelope": simulation.invelope_study}
+    required = {"rates": ["--scenario", "affine"]}
+    parser = cli.build_parser()
+    compared = 0
+    for command, study in studies.items():
+        args = vars(parser.parse_args([command, *required.get(command, []), "--output", "o"]))
+        for name, param in inspect.signature(study).parameters.items():
+            if param.default is inspect.Parameter.empty:
+                continue
+            compared += 1
+            if (command, name) == ("rates", "n_grid"):
+                assert args[name] is None  # resolved by the command, checked below
+                continue
+            assert args[name] == param.default and type(args[name]) is type(param.default), \
+                (command, name)
+    assert compared == 15
+
+    ran_with = {}
+
+    def record(**params):
+        ran_with.update(params)
+        return simulation.RateStudyResult(records=(), slope=0.0, slope_stderr=0.0, skipped=0)
+
+    monkeypatch.setattr(simulation, "rate_study", record)
+    assert main(["rates", "--scenario", "affine", "--output", str(tmp_path / "r")]) == 0
+    assert ran_with["n_grid"] == simulation.DEFAULT_RATE_GRID
+    assert (inspect.signature(studies["rates"]).parameters["n_grid"].default
+            == simulation.DEFAULT_RATE_GRID)
+
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["--scenario", "affine", "--x0", "0.25"], [["--c", "3"], ["--c", "4"], ["--r", "4"]]),
+        (["--refine"], [["--x0", "0.25"], ["--x0", "0.5"]]),
+    ],
+    ids=["affine_ignores_r_c", "drift_ignores_x0"],
+)
+def test_invelope_records_only_the_flags_its_variant_reads(tmp_path, monkeypatch, argv, unread):
+    artifacts = []
+    for k, extra in enumerate(unread):
+        work = tmp_path / str(k)
+        work.mkdir()
+        monkeypatch.chdir(work)  # same relative --output, so the configs can agree
+        assert main(["invelope", *argv, *extra, "--m", "200", "--replicates", "3",
+                     "--seed", "4", "--output", "artifact"]) == 0
+        artifacts.append({p.name: p.read_bytes() for p in work.iterdir()})
+    assert sorted(artifacts[0]) == ["artifact.csv", "artifact.json"]
+    assert all(a == artifacts[0] for a in artifacts)
+    config = json.loads(artifacts[0]["artifact.json"])["config"]
+    assert not {flag[0][2:] for flag in unread} & set(config)
+
+
 def test_invelope_refinement_stability(tmp_path):
     # doubling the grid leaves the summary stable within the reported
     # Monte Carlo error

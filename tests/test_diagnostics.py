@@ -272,10 +272,13 @@ class TestCharacterizationReport:
                 check(ds, values)
 
     def test_nan_violation_fails(self):
-        # max(0.0, nan) is 0.0: a NaN violation once read as a pass
+        # max(0.0, nan) is 0.0: a NaN violation once read as a pass.  ConvexFit
+        # rejects NaN values, so the fit is built around its __post_init__.
         ds = random_dataset(21, n=12)
-        fit = ConvexFit(fitted=np.full(12, np.nan), kinks=(), intercept=0.0,
-                        base_slope=0.0, hinge_coeffs=())
+        fit = object.__new__(ConvexFit)
+        for name, value in dict(fitted=np.full(12, np.nan), kinks=(), intercept=0.0,
+                                base_slope=0.0, hinge_coeffs=()).items():
+            object.__setattr__(fit, name, value)
         report = characterization_report(ds, fit)
         assert not report.passed
         assert len(report.conditions) == 5

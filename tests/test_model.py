@@ -291,6 +291,28 @@ class TestHingeRepresentation:
         assert fit.kinks == (1, 4) and fit.hinge_coeffs == ((1, 1.0), (4, 2.0))
         assert all(type(j) is int for j in (*fit.kinks, *(j for j, _ in fit.hinge_coeffs)))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"fitted": np.full(12, np.nan)},
+            {"fitted": np.r_[np.zeros(11), np.inf]},
+            {"intercept": np.nan},
+            {"base_slope": np.inf},
+            {"base_slope": -np.inf},
+            {"hinge_coeffs": ((3, np.inf),)},
+            {"hinge_coeffs": ((3, 1.0), (5, np.nan))},
+        ],
+        ids=["fitted_nan", "fitted_inf", "intercept_nan", "base_slope_inf",
+             "base_slope_minus_inf", "hinge_inf", "hinge_nan"],
+    )
+    def test_rejects_non_finite_values(self, fields):
+        # a NaN hinge slips past "b <= 0.0"; evaluate would return NaN silently
+        base = dict(fitted=np.zeros(12), kinks=(), intercept=0.0, base_slope=0.0,
+                    hinge_coeffs=((3, 1.0),))
+        with pytest.raises(ValueError, match="non-finite"):
+            ConvexFit(**{**base, **fields})
+        ConvexFit(**base)
+
     def test_rejects_nonpositive_hinge_coefficients(self):
         with pytest.raises(ValueError, match="positive"):
             ConvexFit(fitted=np.zeros(3), kinks=(1,), intercept=0.0,

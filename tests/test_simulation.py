@@ -7,6 +7,7 @@ from convexreg import (
     boundary_inconsistency_study,
     fit_convex_lse,
     generate_scenario,
+    invelope_study,
     local_error_study,
     rate_study,
     simulate_affine_invelope,
@@ -258,3 +259,48 @@ def test_default_grid_shape():
     assert DEFAULT_RATE_GRID[-1] == 10000
     assert len(DEFAULT_RATE_GRID) == 10
     assert all(b > a for a, b in zip(DEFAULT_RATE_GRID, DEFAULT_RATE_GRID[1:]))
+
+
+def _spy_tasks(monkeypatch):
+    import convexreg.simulation as simulation
+
+    seen = []
+
+    def spy(fn, tasks):
+        seen.extend(tasks)
+        return _run_tasks(fn, tasks)
+
+    monkeypatch.setattr(simulation, "_run_tasks", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "run, sizes, replicates, params",
+    [
+        (lambda: rate_study("affine", n_grid=(20, 40), replicates=20, seed=3, r=2,
+                            sigma=0.5, x0=0.3),
+         (20, 40), 20, ("affine", 2, 0.5, 0.3)),
+        (lambda: local_error_study(2, (20, 40), 3, seed=3, sigma=0.7),
+         (20, 40), 3, (2, 0.7)),
+        (lambda: boundary_inconsistency_study((20, 40), 3, seed=3, epsilon=0.1),
+         (20, 40), 3, (0.1,)),
+        (lambda: invelope_study("affine", 200, 3, seed=3, x0=0.25),
+         (200,), 3, ("affine", 2, 4.0, 0.25)),
+    ],
+    ids=["rates", "argmin", "boundary", "invelope"],
+)
+def test_every_study_task_is_n_replicate_mixed_seed_then_params(
+        monkeypatch, run, sizes, replicates, params):
+    seen = _spy_tasks(monkeypatch)
+    run()
+    assert seen == [(n, rep, mix_seed(3, n, rep), *params)
+                    for n in sizes for rep in range(replicates)]
+
+
+def test_refine_repeats_the_m_seeds_on_the_doubled_grid(monkeypatch):
+    seen = _spy_tasks(monkeypatch)
+    samples = invelope_study("vanishing", 200, 3, seed=3, refine=True)
+    coarse = [(200, rep, mix_seed(3, 200, rep), "vanishing", 2, 4.0, 0.5) for rep in range(3)]
+    assert seen == coarse + [(400, *task[1:]) for task in coarse]
+    assert [(rep, seed, s.m) for rep, seed, s in samples] == [
+        (rep, seed, m) for m, rep, seed, *_ in seen]
