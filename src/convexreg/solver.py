@@ -9,11 +9,18 @@ unconstrained hinge regression on the current kink set and enters a batch of
 violators: in every segment between consecutive nodes (x[0], the kinks,
 x[n-1]) the open design index whose cumulative certificate sum is most
 negative, picked for all segments at once by one segment-wise minimum
-(``np.minimum.reduceat``) over the normalized sums.  Feasibility is
-resolved by a line search toward the new coefficients, dropping hinges
-whose coefficients reach zero (most binding first).  The loop stops when no
-open sum is strictly negative; ``kkt_tol`` only judges the certificate, the
-cumulative-sum conditions themselves, and never changes the solve path:
+(``np.minimum.reduceat``) over the normalized sums.  When the solve after an
+entry blocks two or more hinges (coefficients at or below zero), all of them
+are dropped at once and the set is solved again until it is feasible; that
+set is kept if its projection norm beats the current set's by more than a
+rounding margin.  The objective is sum(w*y^2) minus that norm, so this is
+strict descent, which is all the support-reduction argument needs; the norm
+comes out of the sweep, so the test is O(k).  Otherwise feasibility is
+resolved by Meyer's line search toward the first solve's coefficients,
+dropping hinges whose coefficients reach zero (most binding first).  The
+loop stops when no open sum is strictly negative; ``kkt_tol`` only judges
+the certificate, the cumulative-sum conditions themselves, and never
+changes the solve path:
 
     cum[p] = sum_{k < p} (prefix_fitted_k - prefix_response_k) * (x_{k+1} - x_k)
 
@@ -36,7 +43,11 @@ across solves, then solved by an O(k) Thomas sweep that adds up each
 node's diagonal and right-hand side as it goes.  A batch entry splits every
 segment it touches, so the new segments come in runs; each maximal run of
 consecutive uncached segments gets its moments in one vectorized pass over
-its design points.  Every node is a design point, so the system is positive
+its design points.  A drop joins segments instead: a segment between two
+nodes of the previous solve takes its moments from the cached pieces by the
+exact affine change of local coordinates, with no pass over its points.
+The sweep also returns the projection norm rhs^T A^-1 rhs as a sum of
+nonnegative terms.  Every node is a design point, so the system is positive
 definite and needs no condition check or fallback.  The fitted values
 interpolate the node values; the hinge form (intercept, base slope, slope
 increments) drives the line search.
@@ -46,13 +57,27 @@ and uses it for the fitted values and the batch pick; a batch is merged
 into the kinks by one stable argsort.
 """
 
-import numpy as np
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import KKT_TOL, ConvexFit, Dataset, check_kkt_tol, fitted_values
 
 # linear solves per design point a fit may spend
 _SOLVES_PER_POINT = 50
+# an entry whose solve blocks at least this many hinges first tries dropping
+# them all at once; with one blocked hinge the line search drops it alone
+_DROP_BLOCKED = 2
+# a batch drop is kept only if its projection norm beats the current set's
+# by more than this fraction of it.  On every fit of the solver corpus
+# (tests/corpus.py, n up to 1e4) the computed norm agrees with sum(w*y^2)
+# minus the objective within 5e-14 relative, and the smallest gain of a
+# batch drop is 1e-9 relative, so 2^-40 = 9.1e-13 lies between rounding and
+# real descent.  A gain inside the margin goes to the line search, which
+# needs no comparison; a wrong call could waste steps but never return a
+# wrong fit, because the certificate judges the result
+_DESCENT_MARGIN = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -149,6 +174,7 @@ class _HingeSystem:
         self.w = dataset.weights
         self.n = self.x.size
         self._moments = {}
+        self._ends = []  # the previous solve's nodes
         self._first = np.zeros(1, dtype=int)
         self._last = np.full(1, self.n - 1)
 
@@ -187,16 +213,59 @@ class _HingeSystem:
         # elementwise products and add.reduceat rather than dot: no BLAS call
         return np.add.reduceat(terms, bounds[:-1] - start, axis=1).T.tolist()
 
-    def solve(self, kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _merged_moments(self, bounds: list) -> list:
+        """Moment row of the segment from ``bounds[0]`` to ``bounds[-1]``,
+        assembled from the cached rows of the consecutive pieces between
+        ``bounds`` without a pass over the design points.
+
+        On a piece [p, q] with local coordinates u1, v1 (u1 + v1 = 1) the
+        segment's coordinates are u = a + b*u1 and v = g + b*v1, where
+        a = (p - start)/h, b = (q - p)/h, g = (end - q)/h are nonnegative.
+        Sums of w, w*u1, w*v1 and w*y follow from the stored sums through
+        u1 + v1 = 1, so every Gram moment is a sum of nonnegative products
+        and nothing cancels.
+        """
+        knots = self.x[bounds].tolist()
+        left, right = knots[0], knots[-1]
+        gap = right - left
+        svv = suv = suu = syv = syu = 0.0
+        for p, q, (vv, uv, uu, yv, yu) in zip(
+                knots, knots[1:], map(self._moments.__getitem__, zip(bounds, bounds[1:]))):
+            a, b, g = (p - left) / gap, (q - p) / gap, (right - q) / gap
+            wu, wv = uu + uv, vv + uv
+            w, wy = wu + wv, yu + yv
+            svv += g * g * w + 2.0 * g * b * wv + b * b * vv
+            suv += a * g * w + a * b * wv + g * b * wu + b * b * uv
+            suu += a * a * w + 2.0 * a * b * wu + b * b * uu
+            syv += g * wy + b * yv
+            syu += a * wy + b * yu
+        return [svv, suv, suu, syv, syu]
+
+    def solve(self, kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Coefficients (intercept, base slope, hinge coeffs) on a kink set,
-        and the spline's values at the nodes x[0], the kinks and x[n-1]."""
+        the spline's values at the nodes x[0], the kinks and x[n-1], and its
+        projection norm sum(w * fitted * y); the weighted objective is
+        sum(w * y^2) minus that norm."""
         nodes = self._nodes(kinks)
         ends = nodes.tolist()
         keys = list(zip(ends, ends[1:]))
         rows = list(map(self._moments.get, keys))
+        missing = [seg for seg, row in enumerate(rows) if row is None]
+        previous = self._ends
+        if not set(previous).issubset(ends):
+            # a drop: an uncached segment between two nodes of the previous
+            # solve joins that solve's (cached) pieces.  A solve that leaves
+            # out no previous node joins nothing and skips the search.
+            for seg in missing:
+                start, end = keys[seg]
+                i = bisect_left(previous, start)
+                j = bisect_left(previous, end, i)
+                if j - i > 1 and previous[i] == start and previous[j] == end:
+                    rows[seg] = self._moments[keys[seg]] = self._merged_moments(previous[i:j + 1])
+            missing = [seg for seg in missing if rows[seg] is None]
         # one pass per maximal run [first, last) of consecutive uncached segments
         runs = []
-        for seg in [seg for seg, row in enumerate(rows) if row is None]:
+        for seg in missing:
             if runs and runs[-1][1] == seg:
                 runs[-1][1] = seg + 1
             else:
@@ -204,17 +273,22 @@ class _HingeSystem:
         for first, last in runs:
             rows[first:last] = self._run_moments(nodes[first:last + 1])
             self._moments.update(zip(keys[first:last], rows[first:last]))
+        self._ends = ends
         # Thomas sweep; positive definiteness keeps every pivot positive.  A
         # node gathers the u-terms (uu, yu) of the segment ending at it and
         # the v-terms (vv, yv) of the segment starting at it; the off-diagonal
-        # between two nodes is their segment's uv.
+        # between two nodes is their segment's uv.  With A = L D L^T the
+        # norm rhs^T A^-1 rhs is the sum of reduced^2 / pivot, a sum of
+        # nonnegative terms.
         vv, _, _, yv, _ = rows[0]
         pivot, reduced = 0.0 + vv, 0.0 + yv
         pivots, reduceds = [pivot], [reduced]
+        norm = reduced * reduced / pivot
         for (_, off, uu, _, yu), (vv, _, _, yv, _) in zip(rows, rows[1:] + [_NO_SEGMENT]):
             factor = off / pivot
             pivot = (uu + vv) - factor * off
             reduced = (yu + yv) - factor * reduced
+            norm += reduced * reduced / pivot
             pivots.append(pivot)
             reduceds.append(reduced)
         value = reduced / pivot
@@ -231,7 +305,7 @@ class _HingeSystem:
         coef[1:] = slopes
         coef[2:] -= slopes[:-1]
         coef[0] = values[0] - slopes[0] * knots[0]
-        return coef, values
+        return coef, values, norm
 
     def fitted(self, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Fitted values at every design point from the values at ``nodes``
@@ -268,19 +342,24 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
     solves = 0
     history = []
 
-    def resolve(current, feasible):
-        # line-search drop loop: keep hinge coefficients strictly positive.
-        # Every pass that does not return removes at least one index, so
-        # current.size + 1 solves always reach a feasible set.
+    def solve(current):
+        # (kinks, coef, values, norm), or None once the budget is spent
         nonlocal solves
-        for _ in range(current.size + 1):
-            if solves >= budget:
-                return None
-            solves += 1
-            coef, values = system.solve(current)
+        if solves >= budget:
+            return None
+        solves += 1
+        return (current, *system.solve(current))
+
+    def line_search(solution, feasible):
+        # Meyer's drop loop, from a solution on the merged set: keep hinge
+        # coefficients strictly positive.  Every pass that does not return
+        # removes at least one index, so the merged set's size + 1 passes
+        # always reach a feasible set.
+        for _ in range(solution[0].size + 1):
+            if solution is None or _feasible(solution):
+                return solution
+            current, coef = solution[:2]
             hinge = coef[2:]
-            if hinge.size == 0 or np.minimum.reduce(hinge) > 0.0:
-                return current, coef, values
             # an entering hinge (feasible coefficient 0) that solves to <= 0
             # would stop the line search at alpha = 0 and drop the whole
             # batch with it: remove such hinges alone and solve again
@@ -291,19 +370,40 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
                 feasible = feasible + float(np.minimum.reduce(steps)) * (hinge - feasible)
                 keep = feasible > 0.0
                 keep[blocked[steps.argmin()]] = False
-            current = current[keep]
             feasible = feasible[keep]
+            solution = solve(current[keep])
         return None
 
+    def batch_drop(solution):
+        # drop every nonpositive hinge at once and solve again until the
+        # set is feasible; each pass removes at least one index
+        while solution is not None and not _feasible(solution):
+            current, coef = solution[:2]
+            solution = solve(current[coef[2:] > 0.0])
+        return solution
+
     def enter(batch):
-        return resolve(*_merge_batch(kinks, coef[2:], batch))
+        merged, feasible = _merge_batch(kinks, coef[2:], batch)
+        first = solve(merged)
+        if first is None:
+            return None
+        if np.count_nonzero(first[1][2:] <= 0.0) >= _DROP_BLOCKED:
+            dropped = batch_drop(first)
+            if dropped is None:
+                return None
+            # the objective is sum(w * y^2) minus the norm: a larger norm
+            # than the current set's is strict descent, which keeps the
+            # support-reduction loop from visiting a set twice
+            if dropped[3] - norm > _DESCENT_MARGIN * norm:
+                return dropped
+        return line_search(first, feasible)
 
     def trace():
         sums = KktSums(cum=cum, total_gap=total_gap)
         return SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
 
     # one solve: the budget is at least 100 and the empty set is feasible
-    kinks, coef, values = resolve(np.empty(0, dtype=int), np.empty(0))
+    kinks, coef, values, norm = solve(np.empty(0, dtype=int))
 
     while True:
         nodes = system._nodes(kinks)
@@ -331,7 +431,7 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
             # entering hinge was immediately infeasible at float resolution;
             # no strict progress is possible, certify what we have
             break
-        kinks, coef, values = result
+        kinks, coef, values, norm = result
 
     # both exits above leave `cum` computed for the final `fitted`
     final = trace()
@@ -360,6 +460,11 @@ def _merge_batch(kinks: np.ndarray, hinge: np.ndarray,
     merged = np.concatenate((batch, kinks))
     order = merged.argsort(kind="stable")
     return merged[order], np.concatenate((np.zeros(batch.size), hinge))[order]
+
+
+def _feasible(solution) -> bool:
+    hinge = solution[1][2:]
+    return hinge.size == 0 or bool(np.minimum.reduce(hinge) > 0.0)
 
 
 def _same_kinks(a: np.ndarray, b: np.ndarray) -> bool:

@@ -117,6 +117,25 @@ class TestScalingConstants:
         d1, _ = scaling_constants(4, 1.0, 48.0)
         assert d1 == pytest.approx(FIFTEEN_NINTH_ROOT, rel=1e-14)
 
+    def test_r2_closed_forms_at_sigma_2(self):
+        # Groeneboom, Jongbloed and Wellner (2001): c1 = (24/(sigma^4 f''))^(1/5)
+        # and c2 = (24^3/(sigma^2 f''^3))^(1/5); at sigma = 2, f'' = 24 they
+        # are 2^(-4/5) and 2^(-2/5)
+        d1, d2 = scaling_constants(2, 2.0, 24.0)
+        assert d1 == pytest.approx(2.0 ** -0.8, rel=1e-15)
+        assert d2 == pytest.approx(2.0 ** -0.4, rel=1e-15)
+
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_sigma_powers_balance_noise_against_drift(self, r):
+        # d1 scales as sigma^(-2r/(2r+1)) and d2 as sigma^(-(2r-2)/(2r+1))
+        root = 1.0 / (2 * r + 1)
+        scaled = []
+        for s in (0.5, 1.0, 2.0, 7.0):
+            d1, d2 = scaling_constants(r, s, 48.0)
+            scaled.append((d1 * s ** (2 * r * root), d2 * s ** ((2 * r - 2) * root)))
+        for pair in scaled[1:]:
+            assert pair == pytest.approx(scaled[0], rel=1e-14)
+
     @pytest.mark.parametrize("r,sigma,deriv", [(3, 1.0, 1.0), (2, 0.0, 1.0),
                                                (2, -1.0, 1.0), (2, 1.0, 0.0),
                                                (1, 1.0, 1.0)])

@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,11 +13,12 @@ from convexreg import (
     fit_convex_lse,
     kkt_sums,
 )
-from convexreg import simulation, solver
+from convexreg import solver
 from convexreg.oracle import enumerate_convex_lse
-from convexreg.simulation import ScenarioSpec, generate_scenario, mix_seed
+from convexreg.simulation import ScenarioSpec, generate_scenario
 from convexreg.solver import _HingeSystem, _entering_batch, _merge_batch, certificate_scale
 
+from corpus import CORPUS, PIN_DESIGNS
 from helpers import (
     lexsort_batch,
     near_duplicate_dataset,
@@ -74,9 +79,9 @@ def test_batch_entry_that_solves_nonpositive_is_removed(monkeypatch):
     solve = _HingeSystem.solve
 
     def spy(self, kinks):
-        coef, values = solve(self, kinks)
+        coef, values, norm = solve(self, kinks)
         calls.append((set(kinks.tolist()), dict(zip(kinks.tolist(), coef[2:]))))
-        return coef, values
+        return coef, values, norm
 
     monkeypatch.setattr(_HingeSystem, "solve", spy)
     fit, trace = fit_convex_lse(ds)
@@ -98,14 +103,17 @@ def test_batch_entry_that_solves_nonpositive_is_removed(monkeypatch):
 def test_batch_that_falls_through_retries_its_deepest_index(monkeypatch):
     # in exact arithmetic some hinge of every batch solves positive; make the
     # first batch of two or more solve all nonpositive, as rounding could,
-    # and the step must still enter the batch's most negative index alone
+    # and the step must still enter the batch's most negative index alone.
+    # Both blocked hinges go at once, back to the old set; its norm is no
+    # gain, so the line search drops the spoiled entries from the first
+    # solve, which solves the old set again and falls through to the retry
     ds = noisy_convex_dataset(0, n=200)  # its second step enters [38, 189]
     reference, _ = fit_convex_lse(ds)
     calls = []
     solve = _HingeSystem.solve
 
     def spoiled(self, kinks):
-        coef, values = solve(self, kinks)
+        coef, values, norm = solve(self, kinks)
         before = calls[-1] if calls else set()
         batch = set(kinks.tolist()) - before
         calls.append(set(kinks.tolist()))
@@ -114,7 +122,7 @@ def test_batch_that_falls_through_retries_its_deepest_index(monkeypatch):
             for pos, j in enumerate(kinks.tolist()):
                 if j in batch:
                     coef[2 + pos] = -abs(coef[2 + pos])
-        return coef, values
+        return coef, values, norm
 
     spoiled.done = False
     monkeypatch.setattr(_HingeSystem, "solve", spoiled)
@@ -125,8 +133,7 @@ def test_batch_that_falls_through_retries_its_deepest_index(monkeypatch):
     kinks = np.array(sorted(old))
     sums = kkt_sums(ds, system.fitted(system._nodes(kinks), solve(system, kinks)[1]))
     deepest = batch[int(np.argmin(sums.cum[np.array(batch) - 1]))]
-    assert calls[step + 1] == old
-    assert calls[step + 2] == old | {deepest}
+    assert calls[step + 1:step + 4] == [old, old, old | {deepest}]
     _assert_certified(ds, fit, trace)
     assert np.max(np.abs(fit.fitted - reference.fitted)) < 1e-9
 
@@ -194,6 +201,50 @@ def test_run_moments_equal_the_repeat_form_bitwise(seed, design, segments):
     assert rows.tobytes() == repeat_run_moments(ds, bounds).tobytes()
 
 
+@given(st.integers(0, 10_000), st.integers(2, 4), st.booleans(), st.booleans())
+def test_merged_moments_match_a_direct_pass(seed, pieces, extreme_weights, tiny_first_gap):
+    # near-duplicate abscissae, optionally weights 1e-8, 1 and 1e8 and a
+    # 1e-11 first gap; a segment assembled from 2-4 cached pieces must match
+    # one pass over its points
+    rng = np.random.default_rng(seed)
+    ds = near_duplicate_dataset(seed, n=int(rng.integers(8, 60)))
+    x, weights = ds.x.copy(), ds.weights
+    if tiny_first_gap:
+        x[0] = x[1] - 1e-11
+    if extreme_weights:
+        weights = 10.0 ** rng.choice([-8.0, 0.0, 8.0], ds.n)
+    ds = Dataset(x=x, y=ds.y, weights=weights)
+    bounds = np.sort(rng.choice(ds.n, pieces + 1, replace=False))
+    if rng.random() < 0.5:
+        bounds[0], bounds[-1] = 0, ds.n - 1  # the last segment owns x[n-1]
+    system = _HingeSystem(ds)
+    ends = bounds.tolist()
+    system._moments.update(zip(zip(ends, ends[1:]), system._run_moments(bounds)))
+    merged = np.array(system._merged_moments(ends))
+    direct = np.array(system._run_moments(bounds[[0, -1]])[0])
+    assert np.all(np.abs(merged[:3] - direct[:3]) <= 1e-13 * direct[:3])
+    stop = ends[-1] + 1 if ends[-1] == ds.n - 1 else ends[-1]
+    y_mass = np.sum(np.abs(ds.weights * ds.y)[ends[0]:stop])
+    assert np.all(np.abs(merged[3:] - direct[3:]) <= 1e-13 * y_mass)
+
+
+def test_drop_solves_join_cached_pieces(monkeypatch):
+    # a kink set that drops nodes of the previous solve takes the joined
+    # segments from the cache, with no pass over their points
+    ds = noisy_convex_dataset(3, n=200)
+    system = _HingeSystem(ds)
+    system.solve(np.array([20, 50, 90, 120, 160]))
+    passes = []
+    run_moments = system._run_moments
+    monkeypatch.setattr(system, "_run_moments", lambda b: passes.append(b) or run_moments(b))
+    coef, values, norm = system.solve(np.array([50, 160]))
+    assert passes == []
+    assert {(0, 50), (50, 160)} <= set(system._moments)
+    reference = _HingeSystem(ds).solve(np.array([50, 160]))
+    assert np.allclose(coef, reference[0], rtol=1e-12, atol=0.0)
+    assert norm == pytest.approx(reference[2], rel=1e-14)
+
+
 @given(st.integers(0, 10_000), st.integers(3, 60))
 def test_merge_batch_matches_insert_at_searchsorted(seed, n):
     rng = np.random.default_rng(seed)
@@ -221,56 +272,29 @@ def test_entering_batch_without_violators_is_an_empty_integer_array():
     assert _entering_batch(open_sums, nodes).tolist() == [2]
 
 
-def _invelope_dataset(seed):
-    # the dataset simulate_invelope(2, 4, 2000, seed) fits
-    seen = []
-
-    def spy(dataset):
-        seen.append(dataset)
-        return fit_convex_lse(dataset)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation, "fit_convex_lse", spy)
-        simulation.simulate_invelope(2, 4.0, 2000, seed)
-    return seen[0]
-
-
-def _rates_dataset(n, replicate):
-    return generate_scenario(ScenarioSpec("vanishing", n=n, seed=mix_seed(4242, n, replicate), r=4))
-
-
-def _noiseless_dataset(n):
-    x = np.linspace(0.0, 1.0, n)
-    return Dataset(x=x, y=4.0 * (x - 0.5) ** 2, weights=np.ones(n))
-
-
-# (solves, kink-history length, certified kinks) recorded on the solver
-# before its per-step calls were restructured; a change to the solve path
-# that moves them must say why.  invelope_1 gained kink 1811 when the stop
-# floor went: its normalized sum, -1.6e-12, sat above the floor of
-# -8 eps n = -3.6e-12, and entering it lowers the objective by 1.4e-6 in the
-# same 34 solves
+# (solves, kink-history length, certified kinks) of the corpus's pin
+# designs; a change to the solve path that moves them must say why.
+# invelope_1 gained kink 1811 when the stop floor went: its normalized sum,
+# -1.6e-12, sat above the floor of -8 eps n = -3.6e-12, and entering it
+# lowers the objective by 1.4e-6.  The batch drop cut the solves of seven
+# pins with their kinks unchanged (solves, steps before it): invelope_0
+# (33, 9), invelope_1 (34, 9), near_duplicate_design_0 (12, 7), rates_10000_0
+# (21, 9), rates_2000_0 (11, 6), rates_500_1 (16, 8), weighted_7 (10, 6)
 SOLVE_PATH_PINS = {
-    "rates_500_0": (lambda: _rates_dataset(500, 0), 8, 5, (1, 18, 437, 495)),
-    "rates_500_1": (lambda: _rates_dataset(500, 1), 16, 8, (4, 9, 489, 496)),
-    "rates_2000_0": (lambda: _rates_dataset(2000, 0), 11, 6, (437, 1824, 1952)),
-    "rates_10000_0": (lambda: _rates_dataset(10000, 0), 21, 9,
-                      (1, 2, 3109, 9115, 9983, 9998)),
-    "invelope_0": (lambda: _invelope_dataset(0), 33, 9,
-                   (1, 3, 59, 187, 310, 361, 437, 581, 677, 726, 815, 817, 983, 1186,
-                    1191, 1306, 1316, 1507, 1686, 1713, 1916, 1997)),
-    "invelope_1": (lambda: _invelope_dataset(1), 34, 9,
-                   (7, 8, 88, 157, 274, 517, 625, 627, 676, 812, 988, 1199, 1342, 1427,
-                    1527, 1545, 1722, 1806, 1811, 1812, 1969, 1985)),
-    "near_duplicate_design_0": (
-        lambda: build_dataset(zip(*near_duplicate_design(0))), 12, 7,
-        (35, 55, 151, 172, 233, 312, 354)),
-    "near_duplicate_design_5_21": (
-        lambda: build_dataset(zip(*near_duplicate_design(21, 5, copies=1))), 2, 2, (1,)),
-    "near_duplicate_dataset_3": (lambda: near_duplicate_dataset(3, 60), 3, 3, (38, 68)),
-    "weighted_352": (lambda: random_dataset(352, n=10, weighted=True), 5, 4, (4, 7, 8)),
-    "weighted_7": (lambda: random_dataset(7, n=80, weighted=True), 10, 6, (1, 19, 78)),
-    "noiseless_300": (lambda: _noiseless_dataset(300), 10, 10, tuple(range(1, 299))),
+    "rates_500_0": (8, 5, (1, 18, 437, 495)),
+    "rates_500_1": (13, 8, (4, 9, 489, 496)),
+    "rates_2000_0": (10, 6, (437, 1824, 1952)),
+    "rates_10000_0": (17, 9, (1, 2, 3109, 9115, 9983, 9998)),
+    "invelope_0": (15, 10, (1, 3, 59, 187, 310, 361, 437, 581, 677, 726, 815, 817, 983,
+                            1186, 1191, 1306, 1316, 1507, 1686, 1713, 1916, 1997)),
+    "invelope_1": (18, 11, (7, 8, 88, 157, 274, 517, 625, 627, 676, 812, 988, 1199, 1342,
+                            1427, 1527, 1545, 1722, 1806, 1811, 1812, 1969, 1985)),
+    "near_duplicate_design_0": (11, 7, (35, 55, 151, 172, 233, 312, 354)),
+    "near_duplicate_design_5_21": (2, 2, (1,)),
+    "near_duplicate_dataset_3": (3, 3, (38, 68)),
+    "weighted_352": (5, 4, (4, 7, 8)),
+    "weighted_7": (9, 6, (1, 19, 78)),
+    "noiseless_300": (10, 10, tuple(range(1, 299))),
 }
 
 
@@ -278,11 +302,37 @@ SOLVE_PATH_PINS = {
 def test_solve_path_is_pinned(name):
     # the stop rule reads the data alone: a looser certificate tolerance
     # takes the same path
-    build, solves, steps, kinks = SOLVE_PATH_PINS[name]
-    ds = build()
+    solves, steps, kinks = SOLVE_PATH_PINS[name]
+    ds = PIN_DESIGNS[name]()
     for kkt_tol in (1e-8, 1e-6):
         fit, trace = fit_convex_lse(ds, kkt_tol=kkt_tol)
         assert (trace.iterations, len(trace.kink_history), fit.kinks) == (solves, steps, kinks)
+
+
+RECORDED = json.loads((Path(__file__).parent / "fixtures" / "solver_corpus.json").read_text())
+
+
+@pytest.mark.parametrize("family", sorted(CORPUS))
+def test_corpus_matches_the_recorded_fits(family):
+    # every fit certifies (fit_convex_lse raises otherwise) at the recorded
+    # objective; unit-weight fits keep their recorded kinks.  Weighted fits
+    # are compared by objective only: a point of weight 1e-8 barely moves
+    # it, so its fitted value is loose at an equal objective.  No family
+    # may take more solves than it did before the batch drop
+    solves = []
+    for name, build in CORPUS[family].items():
+        ds = build()
+        fit, trace = fit_convex_lse(ds)
+        recorded = RECORDED[family][name]
+        assert trace.final_objective == pytest.approx(recorded["objective"], rel=1e-12,
+                                                      abs=1e-300)
+        if np.all(ds.weights == 1.0):
+            assert list(fit.kinks) == recorded["kinks"], name
+        solves.append(trace.iterations)
+    recorded_solves = [fit["solves"] for fit in RECORDED[family].values()]
+    assert np.mean(solves) <= np.mean(recorded_solves)
+    if family == "invelope":
+        assert np.mean(solves) <= 18
 
 
 @pytest.mark.parametrize("curve", [np.square, np.exp, lambda x: np.abs(x - 0.5) ** 1.5],
@@ -459,6 +509,23 @@ def test_error_on_tiny_iteration_budget(monkeypatch):
     assert info.value.trace is not None
 
 
+def test_every_solve_is_within_the_budget(monkeypatch):
+    # entry, batch-drop and line-search solves all check the budget: any
+    # budget short of the fit's own solve count stops after exactly that
+    # many solves
+    ds = PIN_DESIGNS["invelope_0"]()
+    needed = fit_convex_lse(ds)[1].iterations
+    calls = []
+    solve = _HingeSystem.solve
+    monkeypatch.setattr(_HingeSystem, "solve", lambda self, k: calls.append(1) or solve(self, k))
+    for budget in range(1, needed):
+        monkeypatch.setattr(solver, "_SOLVES_PER_POINT", budget / ds.n)
+        calls.clear()
+        with pytest.raises(SolverError, match="solves"):
+            fit_convex_lse(ds)
+        assert len(calls) == math.ceil(budget / ds.n * ds.n)
+
+
 def test_trace_records_progress():
     ds = noisy_convex_dataset(2, n=80)
     fit, trace = fit_convex_lse(ds)
@@ -512,7 +579,7 @@ def _gapped_dataset():
 )
 def test_hat_basis_solve_matches_hinge_lstsq(gapped, kinks):
     ds = _gapped_dataset() if gapped else noisy_convex_dataset(31, n=60)
-    solved, _ = _HingeSystem(ds).solve(np.array(kinks))
+    solved = _HingeSystem(ds).solve(np.array(kinks))[0]
     reference, _ = _hinge_lstsq(ds, kinks)
     assert np.max(np.abs(solved - reference)) < 1e-8
 
@@ -522,7 +589,7 @@ def test_hat_basis_solve_on_tiny_last_segment(kinks):
     # the last segment spans a 1e-10 gap, so its hinge coefficient is of
     # order 1/gap; compare relative to the coefficient size
     ds = _gapped_dataset()
-    solved, _ = _HingeSystem(ds).solve(np.array(kinks))
+    solved = _HingeSystem(ds).solve(np.array(kinks))[0]
     reference, _ = _hinge_lstsq(ds, kinks)
     assert np.max(np.abs(solved - reference)) < 1e-8 * np.max(np.abs(reference))
 
