@@ -22,16 +22,19 @@ parallel without changing results:
 
 Every study's replicate is one task ``(n, replicate, mix_seed(seed, n,
 replicate), ...)``, the study's own parameters following, and
-:func:`_replicate_tasks` builds them all, sizes outermost.  One helper runs
-the tasks on a process pool in strided chunks when ``CONVEXREG_THREADS`` is
-set above 1; results are put back in task order, so the parallel schedule
-never changes the output.  A study function's parameters are the flags of
+:func:`_replicate_tasks` builds them all, sizes outermost.  One helper,
+:func:`_run_tasks`, runs them: serially by default, or on
+``CONVEXREG_THREADS`` forked worker processes, each taking one strided share
+of the tasks.  Results are put back in task order, so the worker count never
+changes the output.  A study function's parameters are the flags of
 its CLI subcommand, and the command records them as the artifact's
 configuration.
 """
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,33 +82,94 @@ def thread_count() -> int:
 
 
 def _run_tasks(fn, tasks):
-    """Map fn over tasks and return the results in task order; pooled on
-    :func:`thread_count` workers when that is above 1.
+    """Map fn over tasks and return the results in task order; on
+    :func:`thread_count` forked workers when that is above 1.
 
-    The pool gets 4 strided chunks per worker: chunk j holds tasks j,
-    j + 4w, j + 8w, ...  Study grids list tasks by ascending sample size, so
-    contiguous chunks would put all the largest fits in the last chunk;
-    strided ones give every chunk the same mix.
+    Worker j runs the strided share tasks j, j + w, j + 2w, ...  Study grids
+    list tasks by ascending sample size, so contiguous shares would put all
+    the largest fits in the last one; strided ones give every worker the same
+    mix.  Each worker sends its share's results, or the first exception a
+    task raised, back through its own pipe as one pickle.  The parent only
+    collects: it reads the pipes in worker order, puts share j back at
+    ``results[j::w]`` and re-raises the first worker's exception; a worker
+    that exits without sending anything raises a ``RuntimeError`` naming its
+    wait status.  On every exit the parent kills the workers still running
+    and reaps them all.  With one worker, or without ``os.fork``, the tasks
+    run serially in this process.
     """
     if not tasks:
         raise ValueError("need at least 1 replicate")
     workers = min(thread_count(), len(tasks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(t) for t in tasks]
-    # imported here so serial commands (fit included) skip loading multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    stride = 4 * workers
     results = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = [tasks[j::stride] for j in range(stride)]
-        for j, part in enumerate(pool.map(_map_chunk, [fn] * stride, chunks)):
-            results[j::stride] = part
+    pids = []  # None once reaped
+    pipes = []
+    try:
+        for j in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, tasks[j::workers], write_fd, pipes)  # never returns
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        for j, pipe in enumerate(pipes):
+            payload = pipe.read()
+            _, status = os.waitpid(pids[j], 0)
+            pids[j] = None
+            if not payload:
+                how = (f"signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+                       else f"exit code {os.WEXITSTATUS(status)}")
+                raise RuntimeError(f"replicate worker {j} exited without a result "
+                                   f"(wait status {status}: {how})")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results[j::workers] = value
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return results
 
 
-def _map_chunk(fn, chunk):
-    return [fn(t) for t in chunk]
+def _run_share(fn, share, write_fd, inherited):
+    """Forked worker body: send ``(True, results)`` or ``(False, exception)``
+    through ``write_fd`` and leave by ``os._exit``, so the child never runs
+    the parent's cleanup or returns into its stack.  An exception that does
+    not survive a pickle round trip is sent as a ``RuntimeError`` carrying
+    its repr, and so is the error of results that do not pickle.
+
+    ``inherited`` are the parent's read ends, this worker's own included.
+    Closing them leaves the parent the only reader of every pipe, so once
+    the parent is gone a write fails instead of blocking forever.
+    """
+    code = 1
+    try:
+        for pipe in inherited:
+            pipe.close()
+        try:
+            ok, value = True, [fn(t) for t in share]
+        except Exception as exc:  # the parent re-raises it
+            ok, value = False, exc
+        try:
+            data = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
+            if not ok:
+                pickle.loads(data)
+        except Exception as exc:
+            failure = value if not ok else exc
+            data = pickle.dumps((False, RuntimeError(repr(failure))), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True)

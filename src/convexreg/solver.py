@@ -130,14 +130,17 @@ class SolverError(RuntimeError):
 
 def kkt_sums(dataset: Dataset, fit_or_values) -> KktSums:
     """Exact cumulative certificate sums for any fitted-value vector."""
-    cum, total_gap = _cumulative_sums(dataset, fitted_values(dataset, fit_or_values))
+    fitted = fitted_values(dataset, fit_or_values)
+    cum, total_gap = _cumulative_sums(dataset, fitted, np.diff(dataset.x))
     return KktSums(cum=cum, total_gap=total_gap)
 
 
-def _cumulative_sums(dataset: Dataset, fitted: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(cum, total_gap)`` of :class:`KktSums`, unchecked and unwrapped."""
+def _cumulative_sums(dataset: Dataset, fitted: np.ndarray,
+                     gaps: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(cum, total_gap)`` of :class:`KktSums`, unchecked and unwrapped;
+    ``gaps`` is ``np.diff(dataset.x)``."""
     prefix = np.add.accumulate(dataset.weights * (fitted - dataset.y))
-    return np.add.accumulate(prefix[:-1] * np.diff(dataset.x)), float(prefix[-1])
+    return np.add.accumulate(prefix[:-1] * gaps), float(prefix[-1])
 
 
 def certificate_scale(dataset: Dataset) -> float:
@@ -338,6 +341,7 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
     system = _HingeSystem(dataset)
     scale = certificate_scale(dataset)
     budget = _SOLVES_PER_POINT * dataset.n
+    gaps = np.diff(dataset.x)  # every step's certificate sums reuse them
 
     solves = 0
     history = []
@@ -409,7 +413,7 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
         nodes = system._nodes(kinks)
         fitted = system.fitted(nodes, values)
         history.append(tuple(kinks.tolist()))
-        cum, total_gap = _cumulative_sums(dataset, fitted)
+        cum, total_gap = _cumulative_sums(dataset, fitted, gaps)
         # entry p - 1 belongs to design point p; kinks and x[n-1] are closed
         open_sums = cum / scale
         open_sums[kinks - 1] = np.inf

@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .model import Dataset
+from convexreg import Dataset
 
 MAX_ENUMERATION_POINTS = 16
 

@@ -27,9 +27,10 @@ from convexreg import (
     ScenarioSpec,
 )
 from convexreg.cli import main
-from convexreg.oracle import enumerate_convex_lse
 from convexreg.output import fmt
 from convexreg.simulation import mix_seed
+
+from oracle import enumerate_convex_lse
 
 BASE_SEED = 20260808
 

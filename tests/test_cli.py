@@ -373,7 +373,7 @@ def test_study_commands_rerun_byte_identical(tmp_path, argv):
 )
 def test_study_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
     artifacts = {}
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "3"):
         monkeypatch.setenv("CONVEXREG_THREADS", threads)
         work = tmp_path / threads
         work.mkdir()
@@ -381,7 +381,26 @@ def test_study_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
         assert main(argv + ["--output", "artifact"]) == 0
         artifacts[threads] = {p.name: p.read_bytes() for p in work.iterdir()}
     assert sorted(artifacts["1"]) == ["artifact.csv", "artifact.json"]
-    assert artifacts["1"] == artifacts["2"]
+    assert artifacts["1"] == artifacts["2"] == artifacts["3"]
+
+
+def test_a_pooled_replicate_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # the workers are forked, so they run the patched solver
+    import convexreg.simulation as simulation
+    from convexreg.solver import SolverError
+
+    def fail(dataset):
+        raise SolverError(f"no convergence at n = {dataset.n}")
+
+    monkeypatch.setattr(simulation, "fit_convex_lse", fail)
+    monkeypatch.setenv("CONVEXREG_THREADS", "2")
+    argv = ["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "20",
+            "--output", str(tmp_path / "artifact")]
+    assert main(argv) == 3
+    assert "solver failure: no convergence at n = 50" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _csv_records(path):
@@ -636,6 +655,30 @@ def test_fit_command_loads_only_the_fit_path(tmp_path):
     assert "convexreg.solver" in report["loaded"]
     for module in ("numpy.random", "convexreg.simulation", "convexreg.inference"):
         assert module not in report["loaded"]
+
+
+POOLED_STUDY_SCRIPT = """
+import json, os, sys
+import convexreg.cli
+rc = convexreg.cli.main(["rates", "--scenario", "affine", "--n-grid", "50,120",
+                         "--replicates", "20", "--output", sys.argv[1]])
+try:
+    left = os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    left = None
+executors = sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules))
+print(json.dumps({"rc": rc, "executors": executors, "left": left}))
+"""
+
+
+def test_pooled_study_loads_no_executor_and_leaves_no_child(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(convexreg.__file__).parents[1]),
+               CONVEXREG_THREADS="2")
+    out = subprocess.run(
+        [sys.executable, "-c", POOLED_STUDY_SCRIPT, str(tmp_path / "rates")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report == {"rc": 0, "executors": [], "left": None}
 
 
 def test_every_public_name_resolves():

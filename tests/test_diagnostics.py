@@ -13,7 +13,6 @@ from convexreg import (
     tent_functional,
     tent_weight,
 )
-from convexreg.oracle import enumerate_convex_lse
 from convexreg.solver import certificate_scale
 
 from helpers import (
@@ -23,6 +22,7 @@ from helpers import (
     random_dataset,
     scaled_design,
 )
+from oracle import enumerate_convex_lse
 
 
 def oracle_fit(dataset):

@@ -1,6 +1,15 @@
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import convexreg
 from convexreg import (
     Dataset,
     ScenarioSpec,
@@ -246,12 +255,173 @@ def test_thread_pool_matches_serial(monkeypatch):
     assert serial == pooled
 
 
-@pytest.mark.parametrize("count", [1, 7, 8, 9, 200])
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 8, 9, 200])
 def test_pooled_results_come_back_in_task_order(monkeypatch, count):
-    # 2 workers make 8 strided chunks, so counts below 8 leave some empty
-    monkeypatch.setenv("CONVEXREG_THREADS", "2")
+    # worker j of w runs tasks j, j + w, ...: counts below, at and above the
+    # worker count, and shares of unequal length
     tasks = list(range(count))
-    assert _run_tasks(str, tasks) == [str(t) for t in tasks]
+    for threads in ("2", "3"):
+        monkeypatch.setenv("CONVEXREG_THREADS", threads)
+        assert _run_tasks(str, tasks) == [str(t) for t in tasks]
+        _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this (main) thread if the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _failing_at(bad, make=lambda t: t):
+    def task(t):
+        if t == bad:
+            raise ValueError(f"task {t} failed")
+        return make(t)
+    return task
+
+
+@pytest.mark.parametrize("bad", [0, 1, 5])
+def test_a_worker_exception_is_raised_with_its_type_and_message(monkeypatch, bad):
+    monkeypatch.setenv("CONVEXREG_THREADS", "3")
+    with _deadline(30), pytest.raises(ValueError, match=f"^task {bad} failed$"):
+        _run_tasks(_failing_at(bad), list(range(6)))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("bad", [0, 1], ids=["first_worker_fails", "second_worker_fails"])
+def test_a_failure_beside_a_full_pipe_does_not_hang(monkeypatch, bad):
+    # the worker that does not fail sends 200 KiB, far past a 64 KiB pipe
+    # buffer: whichever worker the parent reads first, it must neither wait
+    # on a blocked writer nor leave it running
+    monkeypatch.setenv("CONVEXREG_THREADS", "2")
+    task = _failing_at(bad, make=lambda t: bytes(100 * 1024))
+    with _deadline(30), pytest.raises(ValueError, match=f"^task {bad} failed$"):
+        _run_tasks(task, list(range(4)))
+    _assert_no_child_left()
+
+
+def test_an_unpicklable_worker_exception_arrives_as_its_repr(monkeypatch):
+    class LocalError(Exception):  # a local class does not pickle
+        pass
+
+    def task(t):
+        if t == 1:
+            raise LocalError("boom")
+        return t
+
+    monkeypatch.setenv("CONVEXREG_THREADS", "2")
+    with _deadline(30), pytest.raises(RuntimeError, match=r"^LocalError\('boom'\)$"):
+        _run_tasks(task, list(range(4)))
+    _assert_no_child_left()
+
+
+class _TwoArgError(Exception):
+    # pickles, but unpickling calls __init__ with the message alone
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+def test_an_exception_that_cannot_be_unpickled_arrives_as_its_repr(monkeypatch):
+    def task(t):
+        if t == 1:
+            raise _TwoArgError("boom", 7)
+        return t
+
+    monkeypatch.setenv("CONVEXREG_THREADS", "2")
+    with _deadline(30), pytest.raises(RuntimeError, match=r"^_TwoArgError\('boom'\)$"):
+        _run_tasks(task, list(range(4)))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "leave, status",
+    [(lambda: os._exit(5), "exit code 5"),
+     (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}")],
+    ids=["exit", "killed"],
+)
+def test_a_worker_that_sends_nothing_names_its_wait_status(monkeypatch, leave, status):
+    def task(t):
+        if t == 1:
+            leave()
+        return t
+
+    monkeypatch.setenv("CONVEXREG_THREADS", "2")
+    with _deadline(30), pytest.raises(RuntimeError, match=f"worker 1 exited without a "
+                                                          f"result .*{status}"):
+        _run_tasks(task, list(range(4)))
+    _assert_no_child_left()
+
+
+ORPHAN_SCRIPT = """
+import os, time
+os.environ["CONVEXREG_THREADS"] = "2"
+from convexreg.simulation import _run_tasks
+
+def say_pid():
+    os.write(1, b"%d\\n" % os.getpid())  # one write: the workers' lines never interleave
+
+def task(t):
+    say_pid()
+    time.sleep(0.5)
+    return bytes(100 * 1024)
+
+say_pid()
+_run_tasks(task, [0, 1])
+"""
+
+
+def _running(pid):
+    # an exited orphan is gone, or a zombie until its new parent reaps it
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states")
+def test_workers_exit_when_the_parent_is_killed():
+    # each worker then holds 100 KiB for a parent that is gone: the write
+    # must fail rather than block on a read end that a worker still holds
+    env = dict(os.environ, PYTHONPATH=str(Path(convexreg.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT], env=env,
+                            stdout=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        parent = int(proc.stdout.readline())
+        workers = [int(proc.stdout.readline()) for _ in range(2)]
+        os.kill(parent, signal.SIGKILL)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.stdout.close()
+
+
+def test_without_fork_the_tasks_run_in_this_process(monkeypatch):
+    monkeypatch.setenv("CONVEXREG_THREADS", "2")
+    monkeypatch.delattr(os, "fork")
+    seen = []
+    assert _run_tasks(lambda t: seen.append(t) or -t, [1, 2, 3]) == [-1, -2, -3]
+    assert seen == [1, 2, 3]
 
 
 def test_default_grid_shape():

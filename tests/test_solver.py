@@ -14,7 +14,6 @@ from convexreg import (
     kkt_sums,
 )
 from convexreg import solver
-from convexreg.oracle import enumerate_convex_lse
 from convexreg.simulation import ScenarioSpec, generate_scenario
 from convexreg.solver import _HingeSystem, _entering_batch, _merge_batch, certificate_scale
 
@@ -29,6 +28,7 @@ from helpers import (
     repeat_run_moments,
     segment_moments,
 )
+from oracle import enumerate_convex_lse
 
 
 def test_noiseless_convex_data_is_its_own_fit():
