@@ -20,16 +20,13 @@ _EXPORTS = {
         "SCALE_LIMIT",
         "build_dataset",
         "evaluate",
-        "hinge_representation",
         "left_derivative",
     ),
     "solver": ("KktSums", "SolverError", "SolverTrace", "fit_convex_lse", "kkt_sums"),
     "diagnostics": (
-        "GProcess",
         "KktReport",
         "SegmentReport",
         "characterization_report",
-        "g_process",
         "segment_reports",
         "tent_functional",
         "tent_weight",
@@ -37,10 +34,8 @@ _EXPORTS = {
     "inference": (
         "ArgminResult",
         "BoundaryDiagnostics",
-        "LocalEstimates",
         "argmin_estimator",
         "boundary_diagnostics",
-        "local_estimates",
         "scaling_constants",
     ),
     "simulation": (

@@ -8,7 +8,8 @@ overshoot frequencies).
 
 Exit codes: 0 success and certified / all checks passed, 1 check command
 completed with failing conditions, 2 malformed input or flags, 3 solver or
-numeric failure (a trace file is written next to the requested output).
+numeric failure (``fit`` writes a trace file next to the requested output)
+or a study's replicate worker that died without a result.
 Every output embeds the resolved configuration including the seed; reruns
 with the same flags are byte-identical.  The environment variable
 ``CONVEXREG_THREADS`` caps the worker processes of every study's replicates.
@@ -426,6 +427,12 @@ def main(argv=None) -> int:
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:
+        from .simulation import WorkerError  # loaded already if a study raised it
+        if not isinstance(exc, WorkerError):
+            raise
+        print(f"worker failure: {exc}", file=sys.stderr)
         return 3
 
 

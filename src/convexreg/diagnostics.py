@@ -1,21 +1,20 @@
 """Directly computable optimality diagnostics for a convex fit.
 
 Everything here evaluates finite-sample characterization objects for a
-(dataset, fit) pair: the cumulative gap process, the tent-perturbation
-functional, per-segment residual sums with their sign pattern, the gap
-between each affine piece and the plain least-squares line through the same
-points, and an aggregate pass/fail report.  The functions accept either a
-:class:`ConvexFit` or a raw fitted-value array, so they can also reject fits
-that were not produced by the solver.
+(dataset, fit) pair: the tent-perturbation functional, per-segment residual
+sums with their sign pattern, the gap between each affine piece and the
+plain least-squares line through the same points, and an aggregate
+pass/fail report.  The functions accept either a :class:`ConvexFit` or a
+raw fitted-value array, so they can also reject fits that were not produced
+by the solver.
 
-The gap process and the report's cumulative-sum conditions are views of one
-object, :func:`convexreg.solver.kkt_sums`: at design point p the gap process
-G(x_p) = sum_{i <= p} w_i (fit_i - y_i)(x_p - x_i) is exactly ``cum[p-1]``,
-and G(x_0) = 0.  Nothing here recomputes that process.
+The cumulative gap process G(x_p) = sum_{i <= p} w_i (fit_i - y_i)(x_p - x_i)
+is ``cum[p-1]`` of :func:`convexreg.solver.kkt_sums` (G(x_0) = 0), and the
+report's cumulative-sum conditions are its :meth:`KktSums.violations`.
 
-Sign convention: the gap process is oriented as fitted-minus-observed, which
-makes it nonnegative across the design with zeros at the kinks exactly when
-the fit is optimal.  Residual sums (tent functional, segment sums) keep the
+Sign convention: ``cum`` is oriented as fitted-minus-observed, which makes
+it nonnegative across the design with zeros at the kinks exactly when the
+fit is optimal.  Residual sums (tent functional, segment sums) keep the
 observed-minus-fitted orientation of the inequalities they certify.  All
 sums carry dataset weights so merged duplicates count with multiplicity.
 """
@@ -27,7 +26,6 @@ from .model import (
     KKT_TOL,
     ConvexFit,
     Dataset,
-    _frozen_array,
     check_kkt_tol,
     cone_violation,
     fitted_values,
@@ -43,36 +41,6 @@ def _fit_view(dataset: Dataset, fit_or_values):
     if isinstance(fit_or_values, ConvexFit):
         return values, tuple(fit_or_values.kinks)
     return values, kink_indices(dataset.x, values, dataset.kink_threshold)
-
-
-@dataclass(frozen=True)
-class GProcess:
-    """Cumulative gap process sampled at the design points; its pass/fail
-    verdicts are those of :meth:`KktSums.violations`."""
-
-    values: np.ndarray
-    min_value: float
-    kink_values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
-        object.__setattr__(self, "kink_values", _frozen_array(self.kink_values))
-
-
-def g_process(dataset: Dataset, fit_or_values) -> GProcess:
-    """Evaluate the gap process G(x) = sum_{x_i <= x} w_i (fit_i - y_i)(x - x_i).
-
-    For an optimal fit G is nonnegative at every design point and vanishes at
-    every kink.  The values are G(x_0) = 0 followed by the certificate sums
-    of :func:`kkt_sums`.
-    """
-    fitted, kinks = _fit_view(dataset, fit_or_values)
-    values = np.concatenate(([0.0], kkt_sums(dataset, fit_or_values).cum))
-    return GProcess(
-        values=values,
-        min_value=float(values.min()),
-        kink_values=values[np.asarray(kinks, dtype=int)],
-    )
 
 
 def tent_weight(u: float, v: float, x):

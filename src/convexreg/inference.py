@@ -1,10 +1,9 @@
 """Consumer-facing estimators built on a certified fit.
 
-Pointwise value and left derivative, the argmin estimator (smallest design
-point attaining the minimum fitted value), boundary values obtained by
-linear continuation of the first and last segments, the deterministic
-scaling constants that map local estimation error into canonical limit
-coordinates, and a local sup-deviation profile.
+The argmin estimator (smallest design point attaining the minimum fitted
+value), boundary values and slopes obtained by linear continuation of the
+first and last segments, and the deterministic scaling constants that map
+local estimation error into canonical limit coordinates.
 """
 
 import math
@@ -30,13 +29,6 @@ class BoundaryDiagnostics:
     deriv_at_0: float
     value_at_1: float
     deriv_at_1: float
-
-
-@dataclass(frozen=True)
-class LocalEstimates:
-    value: float
-    left_deriv: float
-    sup_dev_profile: float | None
 
 
 def argmin_estimator(fit: ConvexFit, dataset: Dataset) -> ArgminResult:
@@ -89,25 +81,3 @@ def scaling_constants(r: int, sigma: float, mu_r_at_x0: float) -> tuple[float, f
     d2 = (fact ** 3 / (sigma ** (2 * r - 2) * mu_r_at_x0 ** 3)) ** root
     return d1, d2
 
-
-def local_estimates(fit: ConvexFit, dataset: Dataset, x0: float, halfwidth: float,
-                    reference=None) -> LocalEstimates:
-    """Fitted value and left derivative at x0, plus the sup deviation from a
-    reference function over a fixed 101-point grid on [x0-h, x0+h].
-
-    The grid is uniform and fixed so runs are reproducible; the fit is
-    piecewise linear, so refining the grid only interpolates.  ``reference``
-    is a vectorized callable; without it the profile is None.
-    """
-    if halfwidth <= 0.0:
-        raise ValueError("halfwidth must be strictly positive")
-    lo, hi = x0 - halfwidth, x0 + halfwidth
-    if lo < 0.0 or hi > 1.0:
-        raise ValueError("window must stay inside [0, 1]")
-    value = evaluate(fit, dataset, x0)
-    deriv = left_derivative(fit, dataset, x0)
-    sup_dev = None
-    if reference is not None:
-        grid = np.linspace(lo, hi, 101)
-        sup_dev = float(np.max(np.abs(evaluate(fit, dataset, grid) - reference(grid))))
-    return LocalEstimates(value=value, left_deriv=deriv, sup_dev_profile=sup_dev)

@@ -336,14 +336,3 @@ def left_derivative(fit: ConvexFit, dataset: Dataset, t):
     out = piecewise_left_slopes(dataset.x, fitted, t)
     return float(out) if np.ndim(t) == 0 else out
 
-
-def hinge_representation(fit: ConvexFit, dataset: Dataset):
-    """Return (intercept, base_slope, hinge_coeffs), checking that the hinge
-    form reproduces the fitted values to 1e-10 * (1 + max|fitted|)."""
-    fitted = fitted_values(dataset, fit)
-    recon = fit.hinge_values(dataset, dataset.x)
-    scale = 1.0 + float(np.max(np.abs(fitted)))
-    err = float(np.max(np.abs(recon - fitted)))
-    if err > 1e-10 * scale:
-        raise ValueError(f"hinge representation drift {err:.3e} exceeds tolerance")
-    return fit.intercept, fit.base_slope, fit.hinge_coeffs

@@ -81,6 +81,10 @@ def thread_count() -> int:
     return max(1, value)
 
 
+class WorkerError(RuntimeError):
+    """A replicate worker exited without sending a result."""
+
+
 def _run_tasks(fn, tasks):
     """Map fn over tasks and return the results in task order; on
     :func:`thread_count` forked workers when that is above 1.
@@ -92,8 +96,8 @@ def _run_tasks(fn, tasks):
     task raised, back through its own pipe as one pickle.  The parent only
     collects: it reads the pipes in worker order, puts share j back at
     ``results[j::w]`` and re-raises the first worker's exception; a worker
-    that exits without sending anything raises a ``RuntimeError`` naming its
-    wait status.  On every exit the parent kills the workers still running
+    that exits without sending anything raises a :class:`WorkerError` naming
+    its wait status.  On every exit the parent kills the workers still running
     and reaps them all.  With one worker, or without ``os.fork``, the tasks
     run serially in this process.
     """
@@ -123,8 +127,8 @@ def _run_tasks(fn, tasks):
             if not payload:
                 how = (f"signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
                        else f"exit code {os.WEXITSTATUS(status)}")
-                raise RuntimeError(f"replicate worker {j} exited without a result "
-                                   f"(wait status {status}: {how})")
+                raise WorkerError(f"replicate worker {j} exited without a result "
+                                  f"(wait status {status}: {how})")
             ok, value = pickle.loads(payload)
             if not ok:
                 raise value

@@ -1,6 +1,8 @@
 import inspect
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import threading
@@ -403,6 +405,26 @@ def test_a_pooled_replicate_solver_failure_exits_3(tmp_path, monkeypatch, capsys
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_killed_replicate_worker_exits_3(tmp_path, monkeypatch, capsys):
+    import convexreg.simulation as simulation
+
+    def die(dataset):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(simulation, "fit_convex_lse", die)
+    monkeypatch.setenv("CONVEXREG_THREADS", "2")
+    argv = ["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "20",
+            "--output", str(tmp_path / "artifact")]
+    assert main(argv) == 3
+    kill = int(signal.SIGKILL)
+    assert capsys.readouterr().err.splitlines() == [
+        f"worker failure: replicate worker 0 exited without a result "
+        f"(wait status {kill}: signal {kill})"]
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _csv_records(path):
     lines = path.read_text().splitlines()
     header = lines[1].split(",")
@@ -692,6 +714,22 @@ def test_every_public_name_resolves():
     assert set(convexreg.__all__) <= set(dir(convexreg))
     with pytest.raises(AttributeError, match="no_such_name"):
         convexreg.no_such_name
+
+
+def test_readme_entry_points_resolve():
+    # the names each "Key entry points" bullet documents, before its dash;
+    # a call such as `fit_convex_lse(dataset, ...)` names its function
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Key entry points:", 1)[1].split("\n## ", 1)[0]
+    names = [span.split("(")[0]
+             for bullet in section.split("\n- ") if " — " in bullet
+             for span in re.findall(r"`([^`]+)`", bullet.split(" — ", 1)[0])]
+    assert {"Dataset.from_arrays", "fit_convex_lse", "kkt_sums"} <= set(names)
+    for name in names:
+        value = convexreg
+        for part in name.split("."):
+            assert hasattr(value, part), name
+            value = getattr(value, part)
 
 
 def test_rates_default_grid_is_the_study_default(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,6 @@ from convexreg import (
     Dataset,
     characterization_report,
     fit_convex_lse,
-    g_process,
     kkt_sums,
     segment_reports,
     tent_functional,
@@ -38,30 +37,32 @@ def interpolating_instance(n=12):
 
 
 class TestGProcess:
+    # the gap process G(x_p) = sum_{i <= p} w_i (f_i - y_i)(x_p - x_i) is
+    # kkt_sums(...).cum[p - 1] at design point p >= 1, and G(x_0) = 0
+
     def test_zero_for_interpolating_fit(self):
         ds, fit = interpolating_instance()
-        gp = g_process(ds, fit)
-        assert np.max(np.abs(gp.values)) < 1e-10
-        violations = kkt_sums(ds, fit).violations(fit.kinks, certificate_scale(ds))
+        sums = kkt_sums(ds, fit)
+        assert np.max(np.abs(sums.cum)) < 1e-10
+        violations = sums.violations(fit.kinks, certificate_scale(ds))
         assert max(violations.values()) <= KKT_TOL
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nonnegative_and_zero_at_kinks_on_oracle_fits(self, seed):
         ds = random_dataset(seed, n_min=6, n_max=12)
         fit = oracle_fit(ds)
-        gp = g_process(ds, fit)
+        sums = kkt_sums(ds, fit)
         scale = certificate_scale(ds)
-        assert gp.min_value >= -1e-9 * scale
-        if gp.kink_values.size:
-            assert np.max(np.abs(gp.kink_values)) <= 1e-9 * scale
-        assert np.array_equal(gp.kink_values, gp.values[list(fit.kinks)])
-        violations = kkt_sums(ds, fit).violations(fit.kinks, scale)
+        assert sums.cum.min() >= -1e-9 * scale
+        if fit.kinks:
+            assert np.max(np.abs(sums.cum[np.asarray(fit.kinks) - 1])) <= 1e-9 * scale
+        violations = sums.violations(fit.kinks, scale)
         assert max(violations.values()) <= KKT_TOL
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_direct_quadratic_evaluation(self, seed):
-        # G(x_p) = sum_{i <= p} w_i (f_i - y_i)(x_p - x_i), evaluated term by
-        # term on weighted designs built by merging duplicate abscissae
+        # G(x_p) evaluated term by term on weighted designs built by merging
+        # duplicate abscissae
         rng = np.random.default_rng(100 + seed)
         n_raw = int(rng.integers(20, 80))
         x = rng.integers(0, n_raw // 2, size=n_raw) / (n_raw // 2)
@@ -75,22 +76,22 @@ class TestGProcess:
                 sum(e[i] * (ds.x[p] - ds.x[i]) for i in range(p + 1))
                 for p in range(ds.n)
             ])
-            gp = g_process(ds, fitted)
-            assert gp.values.shape == (ds.n,)
-            assert gp.values[0] == 0.0
+            assert reference[0] == 0.0
+            cum = kkt_sums(ds, fitted).cum
+            assert cum.shape == (ds.n - 1,)
             atol = 1e-12 * certificate_scale(ds)
-            assert np.allclose(gp.values, reference, rtol=1e-10, atol=atol)
+            assert np.allclose(cum, reference[1:], rtol=1e-10, atol=atol)
 
     def test_flags_downward_perturbation(self):
         ds = noisy_convex_dataset(4, n=40)
         fit, _ = fit_convex_lse(ds)
         dented = fit.fitted.copy()
         dented[the_idx := len(dented) // 2] -= 0.5
-        gp = g_process(ds, dented)
-        assert gp.min_value < 0.0
+        sums = kkt_sums(ds, dented)
+        assert sums.cum.min() < 0.0
         tol = KKT_TOL * certificate_scale(ds)
-        assert any(i >= the_idx for i in np.flatnonzero(gp.values < -tol))
-        violations = kkt_sums(ds, dented).violations(fit.kinks, certificate_scale(ds))
+        assert any(p >= the_idx for p in np.flatnonzero(sums.cum < -tol) + 1)
+        violations = sums.violations(fit.kinks, certificate_scale(ds))
         assert violations["cumulative_sums_nonnegative"] > KKT_TOL
 
 

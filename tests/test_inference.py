@@ -13,7 +13,6 @@ from convexreg import (
     generate_scenario,
     left_derivative,
     local_error_study,
-    local_estimates,
     scaling_constants,
 )
 
@@ -154,32 +153,43 @@ class TestScalingConstants:
         assert all(b < a for a, b in zip(d1m[:-1], d1m[1:]))
 
 
+def window_grid(x0, halfwidth):
+    """The fixed 101-point grid on [x0 - h, x0 + h]: the fit is piecewise
+    linear, so a finer grid only interpolates."""
+    return np.linspace(x0 - halfwidth, x0 + halfwidth, 101)
+
+
 class TestLocalEstimates:
     def test_noiseless_profile_is_zero(self):
+        # a noiseless convex sample comes back exactly, so over the window
+        # the fit is the interpolant of the truth at the design points
         x = np.linspace(0.0, 1.0, 60)
         truth = lambda t: 2.0 * (np.asarray(t) - 0.5) ** 2
         ds = Dataset(x=x, y=truth(x), weights=np.ones(60))
         fit, _ = fit_convex_lse(ds)
-        est = local_estimates(fit, ds, 0.5, 0.2, reference=lambda t: evaluate(fit, ds, t))
-        assert est.sup_dev_profile == pytest.approx(0.0, abs=1e-12)
+        grid = window_grid(0.5, 0.2)
+        sup_dev = np.max(np.abs(evaluate(fit, ds, grid) - np.interp(grid, x, truth(x))))
+        assert sup_dev == pytest.approx(0.0, abs=1e-12)
 
     def test_line_values(self):
         x = np.linspace(0.0, 1.0, 9)
         ds = Dataset(x=x, y=x.copy(), weights=np.ones(9))
         fit = ConvexFit.from_values(ds, ds.y)
-        est = local_estimates(fit, ds, 0.5, 0.25)
-        assert est.value == pytest.approx(0.5, abs=1e-13)
-        assert est.left_deriv == pytest.approx(1.0, abs=1e-13)
-        assert est.sup_dev_profile is None
+        assert evaluate(fit, ds, 0.5) == pytest.approx(0.5, abs=1e-13)
+        assert left_derivative(fit, ds, 0.5) == pytest.approx(1.0, abs=1e-13)
 
     def test_rejects_window_outside_domain(self):
         fit, ds = vee()
-        with pytest.raises(ValueError):
-            local_estimates(fit, ds, 0.05, 0.1)
+        grid = window_grid(0.05, 0.1)
+        for estimate in (evaluate, left_derivative):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                estimate(fit, ds, grid)
 
     def test_scaled_sup_deviation_bounded_for_affine_truth(self):
         # sup deviation from the true line over a fixed window, scaled by
         # sqrt(n), should have stable quantiles across sample sizes
+        grid = window_grid(0.5, 0.1)
+        line = 2.0 * (grid - 0.5)
         q95 = {}
         for n in (1000, 4000):
             devs = []
@@ -187,9 +197,7 @@ class TestLocalEstimates:
                 spec = ScenarioSpec(kind="affine", n=n, seed=3000 + rep)
                 ds = generate_scenario(spec)
                 fit, _ = fit_convex_lse(ds)
-                line = lambda t: 2.0 * (np.asarray(t) - 0.5)
-                est = local_estimates(fit, ds, 0.5, 0.1, reference=line)
-                devs.append(np.sqrt(n) * est.sup_dev_profile)
+                devs.append(np.sqrt(n) * np.max(np.abs(evaluate(fit, ds, grid) - line)))
             q95[n] = float(np.quantile(devs, 0.95))
         assert max(q95.values()) < 2.0 * min(q95.values())
 

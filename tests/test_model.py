@@ -9,7 +9,6 @@ from convexreg import (
     Dataset,
     build_dataset,
     evaluate,
-    hinge_representation,
     left_derivative,
 )
 from convexreg.model import SCALE_LIMIT, cone_violation
@@ -243,22 +242,27 @@ class TestLeftDerivative:
         assert np.all(np.diff(slopes) >= -allowance)
 
 
+def assert_hinge_form_reproduces_fitted(fit, ds):
+    recon = fit.hinge_values(ds, ds.x)
+    assert np.max(np.abs(recon - fit.fitted)) <= 1e-10 * (1.0 + np.max(np.abs(fit.fitted)))
+
+
 class TestHingeRepresentation:
     def test_pure_line(self):
         fit, ds = line_fit(np.linspace(0.0, 1.0, 6), slope=2.0, intercept=1.0)
-        intercept, base_slope, hinges = hinge_representation(fit, ds)
-        assert intercept == pytest.approx(1.0, abs=1e-12)
-        assert base_slope == pytest.approx(2.0, abs=1e-12)
-        assert hinges == ()
+        assert_hinge_form_reproduces_fitted(fit, ds)
+        assert fit.intercept == pytest.approx(1.0, abs=1e-12)
+        assert fit.base_slope == pytest.approx(2.0, abs=1e-12)
+        assert fit.hinge_coeffs == ()
 
     def test_single_kink(self):
         fit, ds = vee_fit()
-        intercept, base_slope, hinges = hinge_representation(fit, ds)
-        assert intercept == pytest.approx(2.0, abs=1e-12)
-        assert base_slope == pytest.approx(-4.0, abs=1e-12)
-        assert len(hinges) == 1
-        assert hinges[0][0] == 1
-        assert hinges[0][1] == pytest.approx(8.0, abs=1e-12)
+        assert_hinge_form_reproduces_fitted(fit, ds)
+        assert fit.intercept == pytest.approx(2.0, abs=1e-12)
+        assert fit.base_slope == pytest.approx(-4.0, abs=1e-12)
+        assert len(fit.hinge_coeffs) == 1
+        assert fit.hinge_coeffs[0][0] == 1
+        assert fit.hinge_coeffs[0][1] == pytest.approx(8.0, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     def test_reconstruction_round_trip(self, seed):

@@ -26,6 +26,7 @@ from convexreg import (
 from convexreg.simulation import (
     AMPLITUDE,
     DEFAULT_RATE_GRID,
+    WorkerError,
     _int_power,
     _run_tasks,
     mix_seed,
@@ -361,8 +362,8 @@ def test_a_worker_that_sends_nothing_names_its_wait_status(monkeypatch, leave, s
         return t
 
     monkeypatch.setenv("CONVEXREG_THREADS", "2")
-    with _deadline(30), pytest.raises(RuntimeError, match=f"worker 1 exited without a "
-                                                          f"result .*{status}"):
+    with _deadline(30), pytest.raises(WorkerError, match=f"worker 1 exited without a "
+                                                         f"result .*{status}"):
         _run_tasks(task, list(range(4)))
     _assert_no_child_left()
 
