@@ -8,8 +8,8 @@ overshoot frequencies).
 
 Exit codes: 0 success and certified / all checks passed, 1 check command
 completed with failing conditions, 2 malformed input or flags, 3 solver or
-numeric failure (``fit`` writes a trace file next to the requested output)
-or a study's replicate worker that died without a result.
+runtime failure (``fit`` writes a trace file next to the requested output on
+a solver failure) or a study's replicate worker that died without a result.
 Every output embeds the resolved configuration including the seed; reruns
 with the same flags are byte-identical.  The environment variable
 ``CONVEXREG_THREADS`` caps the worker processes of every study's replicates.
@@ -428,11 +428,11 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:
-        from .simulation import WorkerError  # loaded already if a study raised it
-        if not isinstance(exc, WorkerError):
-            raise
-        print(f"worker failure: {exc}", file=sys.stderr)
+    except (ArithmeticError, MemoryError, RuntimeError) as exc:
+        # a dead replicate worker (WorkerError), or a failure named by its type, such
+        # as the RuntimeError carrying the repr of a replicate's unpicklable exception
+        dead = type(exc).__name__ == "WorkerError"
+        print(f"worker failure: {exc}" if dead else f"failure: {exc!r}", file=sys.stderr)
         return 3
 
 

@@ -10,8 +10,8 @@ violators: in every segment between consecutive nodes (x[0], the kinks,
 x[n-1]) the open design index whose cumulative certificate sum is most
 negative, picked for all segments at once by one segment-wise minimum
 (``np.minimum.reduceat``) over the normalized sums.  When the solve after an
-entry blocks two or more hinges (coefficients at or below zero), all of them
-are dropped at once and the set is solved again until it is feasible; that
+entry blocks any hinge (a coefficient at or below zero), every blocked hinge
+is dropped at once and the set is solved again until it is feasible; that
 set is kept if its projection norm beats the current set's by more than a
 rounding margin.  The objective is sum(w*y^2) minus that norm, so this is
 strict descent, which is all the support-reduction argument needs; the norm
@@ -40,13 +40,11 @@ kinks, in the hat (linear B-spline) basis: the unknowns are its values at
 x[0], the kinks and x[n-1], and the normal equations are tridiagonal.  They
 are assembled from segment moments taken in local coordinates and cached
 across solves, then solved by an O(k) Thomas sweep that adds up each
-node's diagonal and right-hand side as it goes.  A batch entry splits every
-segment it touches, so the new segments come in runs; each maximal run of
+node's diagonal and right-hand side as it goes.  Each maximal run of
 consecutive uncached segments gets its moments in one vectorized pass over
-its design points.  A drop joins segments instead: a segment between two
-nodes of the previous solve takes its moments from the cached pieces by the
-exact affine change of local coordinates, with no pass over its points.
-The sweep also returns the projection norm rhs^T A^-1 rhs as a sum of
+its design points, and the cache only memoizes that pass, so a solve depends
+only on the dataset and the kink set, never on the solves before it.  The
+sweep also returns the projection norm rhs^T A^-1 rhs as a sum of
 nonnegative terms.  Every node is a design point, so the system is positive
 definite and needs no condition check or fallback.  The fitted values
 interpolate the node values; the hinge form (intercept, base slope, slope
@@ -57,7 +55,6 @@ and uses it for the fitted values and the batch pick; a batch is merged
 into the kinks by one stable argsort.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +63,6 @@ from .model import KKT_TOL, ConvexFit, Dataset, check_kkt_tol, fitted_values
 
 # linear solves per design point a fit may spend
 _SOLVES_PER_POINT = 50
-# an entry whose solve blocks at least this many hinges first tries dropping
-# them all at once; with one blocked hinge the line search drops it alone
-_DROP_BLOCKED = 2
 # a batch drop is kept only if its projection norm beats the current set's
 # by more than this fraction of it.  On every fit of the solver corpus
 # (tests/corpus.py, n up to 1e4) the computed norm agrees with sum(w*y^2)
@@ -114,6 +108,11 @@ class KktSums:
 
 @dataclass(frozen=True)
 class SolverTrace:
+    """``iterations`` counts the linear solves; ``kink_history`` holds the
+    kink set each step started from (a certified fit's set last);
+    ``final_objective`` is sum(w * (y - fitted)^2) and ``certificate`` the
+    :class:`KktSums` of the last step's fitted values."""
+
     iterations: int
     kink_history: tuple[tuple[int, ...], ...]
     final_objective: float
@@ -177,7 +176,6 @@ class _HingeSystem:
         self.w = dataset.weights
         self.n = self.x.size
         self._moments = {}
-        self._ends = []  # the previous solve's nodes
         self._first = np.zeros(1, dtype=int)
         self._last = np.full(1, self.n - 1)
 
@@ -216,34 +214,6 @@ class _HingeSystem:
         # elementwise products and add.reduceat rather than dot: no BLAS call
         return np.add.reduceat(terms, bounds[:-1] - start, axis=1).T.tolist()
 
-    def _merged_moments(self, bounds: list) -> list:
-        """Moment row of the segment from ``bounds[0]`` to ``bounds[-1]``,
-        assembled from the cached rows of the consecutive pieces between
-        ``bounds`` without a pass over the design points.
-
-        On a piece [p, q] with local coordinates u1, v1 (u1 + v1 = 1) the
-        segment's coordinates are u = a + b*u1 and v = g + b*v1, where
-        a = (p - start)/h, b = (q - p)/h, g = (end - q)/h are nonnegative.
-        Sums of w, w*u1, w*v1 and w*y follow from the stored sums through
-        u1 + v1 = 1, so every Gram moment is a sum of nonnegative products
-        and nothing cancels.
-        """
-        knots = self.x[bounds].tolist()
-        left, right = knots[0], knots[-1]
-        gap = right - left
-        svv = suv = suu = syv = syu = 0.0
-        for p, q, (vv, uv, uu, yv, yu) in zip(
-                knots, knots[1:], map(self._moments.__getitem__, zip(bounds, bounds[1:]))):
-            a, b, g = (p - left) / gap, (q - p) / gap, (right - q) / gap
-            wu, wv = uu + uv, vv + uv
-            w, wy = wu + wv, yu + yv
-            svv += g * g * w + 2.0 * g * b * wv + b * b * vv
-            suv += a * g * w + a * b * wv + g * b * wu + b * b * uv
-            suu += a * a * w + 2.0 * a * b * wu + b * b * uu
-            syv += g * wy + b * yv
-            syu += a * wy + b * yu
-        return [svv, suv, suu, syv, syu]
-
     def solve(self, kinks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Coefficients (intercept, base slope, hinge coeffs) on a kink set,
         the spline's values at the nodes x[0], the kinks and x[n-1], and its
@@ -254,18 +224,6 @@ class _HingeSystem:
         keys = list(zip(ends, ends[1:]))
         rows = list(map(self._moments.get, keys))
         missing = [seg for seg, row in enumerate(rows) if row is None]
-        previous = self._ends
-        if not set(previous).issubset(ends):
-            # a drop: an uncached segment between two nodes of the previous
-            # solve joins that solve's (cached) pieces.  A solve that leaves
-            # out no previous node joins nothing and skips the search.
-            for seg in missing:
-                start, end = keys[seg]
-                i = bisect_left(previous, start)
-                j = bisect_left(previous, end, i)
-                if j - i > 1 and previous[i] == start and previous[j] == end:
-                    rows[seg] = self._moments[keys[seg]] = self._merged_moments(previous[i:j + 1])
-            missing = [seg for seg in missing if rows[seg] is None]
         # one pass per maximal run [first, last) of consecutive uncached segments
         runs = []
         for seg in missing:
@@ -276,7 +234,6 @@ class _HingeSystem:
         for first, last in runs:
             rows[first:last] = self._run_moments(nodes[first:last + 1])
             self._moments.update(zip(keys[first:last], rows[first:last]))
-        self._ends = ends
         # Thomas sweep; positive definiteness keeps every pivot positive.  A
         # node gathers the u-terms (uu, yu) of the segment ending at it and
         # the v-terms (vv, yv) of the segment starting at it; the off-diagonal
@@ -391,7 +348,7 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
         first = solve(merged)
         if first is None:
             return None
-        if np.count_nonzero(first[1][2:] <= 0.0) >= _DROP_BLOCKED:
+        if not _feasible(first):
             dropped = batch_drop(first)
             if dropped is None:
                 return None

@@ -425,6 +425,39 @@ def test_a_killed_replicate_worker_exits_3(tmp_path, monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+class _Unpicklable(ArithmeticError):
+    # pickle rebuilds an exception from its args, which this __init__ refuses
+    def __init__(self, n):
+        super().__init__(f"unpicklable at n = {n}", n)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("error, name", [
+    (lambda n: FloatingPointError(f"overflow at n = {n}"), "FloatingPointError"),
+    (lambda n: MemoryError(), "MemoryError"),
+    (_Unpicklable, "_Unpicklable"),
+], ids=["floating_point", "memory", "unpicklable"])
+def test_a_replicate_exception_exits_3_naming_its_type(tmp_path, monkeypatch, capsys,
+                                                       threads, error, name):
+    # a pooled worker sends an exception that does not pickle as a
+    # RuntimeError carrying its repr, so the line names the type either way
+    import convexreg.simulation as simulation
+
+    def fail(dataset):
+        raise error(dataset.n)
+
+    monkeypatch.setattr(simulation, "fit_convex_lse", fail)
+    monkeypatch.setenv("CONVEXREG_THREADS", threads)
+    argv = ["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "20",
+            "--output", str(tmp_path / "artifact")]
+    assert main(argv) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("failure: ") and name in line, line
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _csv_records(path):
     lines = path.read_text().splitlines()
     header = lines[1].split(",")

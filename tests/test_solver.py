@@ -17,7 +17,7 @@ from convexreg import solver
 from convexreg.simulation import ScenarioSpec, generate_scenario
 from convexreg.solver import _HingeSystem, _entering_batch, _merge_batch, certificate_scale
 
-from corpus import CORPUS, PIN_DESIGNS
+from corpus import CORPUS, PIN_DESIGNS, extreme_weight_dataset, tiny_first_gap_dataset
 from helpers import (
     lexsort_batch,
     near_duplicate_dataset,
@@ -201,48 +201,34 @@ def test_run_moments_equal_the_repeat_form_bitwise(seed, design, segments):
     assert rows.tobytes() == repeat_run_moments(ds, bounds).tobytes()
 
 
-@given(st.integers(0, 10_000), st.integers(2, 4), st.booleans(), st.booleans())
-def test_merged_moments_match_a_direct_pass(seed, pieces, extreme_weights, tiny_first_gap):
-    # near-duplicate abscissae, optionally weights 1e-8, 1 and 1e8 and a
-    # 1e-11 first gap; a segment assembled from 2-4 cached pieces must match
-    # one pass over its points
+HISTORY_DESIGNS = {
+    "plain": lambda seed, n: noisy_convex_dataset(seed, n, noise=0.3),
+    "extreme_weights": extreme_weight_dataset,
+    "tiny_first_gap": tiny_first_gap_dataset,
+}
+
+
+@given(st.integers(0, 10_000), st.sampled_from(sorted(HISTORY_DESIGNS)))
+def test_a_solve_depends_only_on_its_kink_set(seed, design):
+    # random entries and drops on one warmed system: every solve returns
+    # the bits of a fresh system's solve of the same kink set, whatever
+    # segments the earlier solves left in the moment cache
     rng = np.random.default_rng(seed)
-    ds = near_duplicate_dataset(seed, n=int(rng.integers(8, 60)))
-    x, weights = ds.x.copy(), ds.weights
-    if tiny_first_gap:
-        x[0] = x[1] - 1e-11
-    if extreme_weights:
-        weights = 10.0 ** rng.choice([-8.0, 0.0, 8.0], ds.n)
-    ds = Dataset(x=x, y=ds.y, weights=weights)
-    bounds = np.sort(rng.choice(ds.n, pieces + 1, replace=False))
-    if rng.random() < 0.5:
-        bounds[0], bounds[-1] = 0, ds.n - 1  # the last segment owns x[n-1]
+    ds = HISTORY_DESIGNS[design](seed, int(rng.integers(20, 120)))
+    interior = np.arange(1, ds.n - 1)
     system = _HingeSystem(ds)
-    ends = bounds.tolist()
-    system._moments.update(zip(zip(ends, ends[1:]), system._run_moments(bounds)))
-    merged = np.array(system._merged_moments(ends))
-    direct = np.array(system._run_moments(bounds[[0, -1]])[0])
-    assert np.all(np.abs(merged[:3] - direct[:3]) <= 1e-13 * direct[:3])
-    stop = ends[-1] + 1 if ends[-1] == ds.n - 1 else ends[-1]
-    y_mass = np.sum(np.abs(ds.weights * ds.y)[ends[0]:stop])
-    assert np.all(np.abs(merged[3:] - direct[3:]) <= 1e-13 * y_mass)
-
-
-def test_drop_solves_join_cached_pieces(monkeypatch):
-    # a kink set that drops nodes of the previous solve takes the joined
-    # segments from the cache, with no pass over their points
-    ds = noisy_convex_dataset(3, n=200)
-    system = _HingeSystem(ds)
-    system.solve(np.array([20, 50, 90, 120, 160]))
-    passes = []
-    run_moments = system._run_moments
-    monkeypatch.setattr(system, "_run_moments", lambda b: passes.append(b) or run_moments(b))
-    coef, values, norm = system.solve(np.array([50, 160]))
-    assert passes == []
-    assert {(0, 50), (50, 160)} <= set(system._moments)
-    reference = _HingeSystem(ds).solve(np.array([50, 160]))
-    assert np.allclose(coef, reference[0], rtol=1e-12, atol=0.0)
-    assert norm == pytest.approx(reference[2], rel=1e-14)
+    kinks = np.sort(rng.choice(interior, int(rng.integers(0, 6)), replace=False))
+    for _ in range(12):
+        if kinks.size and rng.random() < 0.5:
+            kinks = kinks[rng.random(kinks.size) < 0.6]
+        else:
+            batch = rng.choice(interior, int(rng.integers(1, 6)), replace=False)
+            kinks = np.union1d(kinks, batch)
+        warm = system.solve(kinks)
+        fresh = _HingeSystem(ds).solve(kinks)
+        assert warm[0].tobytes() == fresh[0].tobytes(), kinks
+        assert warm[1].tobytes() == fresh[1].tobytes(), kinks
+        assert warm[2] == fresh[2], kinks
 
 
 @given(st.integers(0, 10_000), st.integers(3, 60))
@@ -333,6 +319,20 @@ def test_corpus_matches_the_recorded_fits(family):
     assert np.mean(solves) <= np.mean(recorded_solves)
     if family == "invelope":
         assert np.mean(solves) <= 18
+
+
+@pytest.mark.parametrize("family", sorted(CORPUS))
+def test_the_line_search_alone_reaches_the_recorded_fits(family, monkeypatch):
+    # with every batch drop rejected, each entry falls back to Meyer's line
+    # search from its first solve; that path alone is a complete solver
+    monkeypatch.setattr(solver, "_DESCENT_MARGIN", math.inf)
+    for name, build in CORPUS[family].items():
+        ds = build()
+        fit, trace = fit_convex_lse(ds)
+        recorded = RECORDED[family][name]
+        assert trace.final_objective == pytest.approx(recorded["objective"], rel=1e-12,
+                                                      abs=1e-300), name
+        assert list(fit.kinks) == recorded["kinks"], name
 
 
 @pytest.mark.parametrize("curve", [np.square, np.exp, lambda x: np.abs(x - 0.5) ** 1.5],
