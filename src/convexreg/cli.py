@@ -17,6 +17,7 @@ with the same flags are byte-identical.  The environment variable
 
 import argparse
 import csv
+import dataclasses
 import io
 import lzma
 import math
@@ -173,7 +174,7 @@ def cmd_fit(args) -> int:
         if exc.trace is not None:
             payload["iterations"] = exc.trace.iterations
             payload["final_objective"] = exc.trace.final_objective
-            payload["kink_history"] = [list(k) for k in exc.trace.kink_history]
+            payload["steps"] = [dataclasses.asdict(step) for step in exc.trace.steps]
         write_json(trace_path, payload)
         print(f"solver failure, trace written to {trace_path}: {exc}", file=sys.stderr)
         return 3

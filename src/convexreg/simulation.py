@@ -316,9 +316,10 @@ def rate_study(scenario: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
     degenerate runs reach); the skip count is reported and the study raises
     when every record is skipped (e.g. sigma = 0).
     """
-    tasks = _replicate_tasks(n_grid, replicates, seed, scenario, r, sigma, x0)
-    if replicates < 20:
-        raise ValueError("need at least 20 replicates")
+    grid = _study_grid(n_grid)
+    if len(grid) < 2 or replicates < 20:
+        raise ValueError(f"need 2+ sizes and 20+ replicates, got n_grid {grid}, {replicates}")
+    tasks = _replicate_tasks(grid, replicates, seed, scenario, r, sigma, x0)
     # the last task has the largest size
     probe = ScenarioSpec(kind=scenario, n=tasks[-1][0], seed=0, r=r, sigma=sigma)
     zero_floor = 1e-12 * (1.0 + abs(true_mean(probe, x0)))

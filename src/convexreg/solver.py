@@ -32,8 +32,8 @@ the dataset weights so merged duplicate points count with their multiplicity.
 it once per step on plain arrays to pick the entering batch, and wraps the
 final step's sums in a :class:`KktSums` only at its exits; those are
 checked by :meth:`KktSums.violations` and returned as
-``SolverTrace.certificate``.  The characterization report, the gap process
-and the invelope samples read the same object.
+``SolverTrace.certificate``.  The characterization report,
+``kkt_sums(...).cum`` and the invelope samples read the same object.
 
 Each solve fits the least-squares linear spline whose knots are the current
 kinks, in the hat (linear B-spline) basis: the unknowns are its values at
@@ -107,14 +107,31 @@ class KktSums:
 
 
 @dataclass(frozen=True)
+class SolverStep:
+    """One step of the active-set loop: the sorted indices that ``entered``
+    the kink set and that were ``dropped`` from it, the ``path`` that made
+    the step feasible and the ``solves`` it spent.  ``path`` is
+    ``"feasible"`` (the entry solve was feasible), ``"batch_drop"``,
+    ``"line_search"`` or ``"retry"`` (the whole batch fell through and its
+    deepest index entered alone).  An entry that changes nothing ends the
+    loop without a record, so the records' solves add up to
+    ``SolverTrace.iterations`` unless the loop ended that way."""
+
+    entered: tuple[int, ...]
+    dropped: tuple[int, ...]
+    path: str
+    solves: int
+
+
+@dataclass(frozen=True)
 class SolverTrace:
-    """``iterations`` counts the linear solves; ``kink_history`` holds the
-    kink set each step started from (a certified fit's set last);
-    ``final_objective`` is sum(w * (y - fitted)^2) and ``certificate`` the
-    :class:`KktSums` of the last step's fitted values."""
+    """``iterations`` counts the linear solves; ``steps`` holds one
+    :class:`SolverStep` per step, the affine start first, whose replay gives
+    each step's kink set (a certified fit's last); ``final_objective`` is
+    sum(w * (y - fitted)^2), ``certificate`` the last step's :class:`KktSums`."""
 
     iterations: int
-    kink_history: tuple[tuple[int, ...], ...]
+    steps: tuple[SolverStep, ...]
     final_objective: float
     certificate: KktSums
 
@@ -301,24 +318,23 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
     gaps = np.diff(dataset.x)  # every step's certificate sums reuse them
 
     solves = 0
-    history = []
 
     def solve(current):
-        # (kinks, coef, values, norm), or None once the budget is spent
+        # (kinks, coef, values, norm); raises once the budget is spent
         nonlocal solves
         if solves >= budget:
-            return None
+            raise SolverError(f"no convergence within {budget} solves (worst normalized "
+                              f"violation {open_sums.min():.3e})", trace())
         solves += 1
         return (current, *system.solve(current))
 
     def line_search(solution, feasible):
         # Meyer's drop loop, from a solution on the merged set: keep hinge
-        # coefficients strictly positive.  Every pass that does not return
-        # removes at least one index, so the merged set's size + 1 passes
-        # always reach a feasible set.
-        for _ in range(solution[0].size + 1):
-            if solution is None or _feasible(solution):
-                return solution
+        # coefficients strictly positive.  Every pass removes at least one
+        # index and the empty set is feasible, so the loop ends.
+        path = "feasible"
+        while not _feasible(solution):
+            path = "line_search"
             current, coef = solution[:2]
             hinge = coef[2:]
             # an entering hinge (feasible coefficient 0) that solves to <= 0
@@ -333,43 +349,39 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
                 keep[blocked[steps.argmin()]] = False
             feasible = feasible[keep]
             solution = solve(current[keep])
-        return None
+        return solution, path
 
     def batch_drop(solution):
         # drop every nonpositive hinge at once and solve again until the
         # set is feasible; each pass removes at least one index
-        while solution is not None and not _feasible(solution):
+        while not _feasible(solution):
             current, coef = solution[:2]
             solution = solve(current[coef[2:] > 0.0])
-        return solution
+        return solution, "batch_drop"
 
     def enter(batch):
         merged, feasible = _merge_batch(kinks, coef[2:], batch)
         first = solve(merged)
-        if first is None:
-            return None
         if not _feasible(first):
-            dropped = batch_drop(first)
-            if dropped is None:
-                return None
+            dropped, path = batch_drop(first)
             # the objective is sum(w * y^2) minus the norm: a larger norm
             # than the current set's is strict descent, which keeps the
             # support-reduction loop from visiting a set twice
             if dropped[3] - norm > _DESCENT_MARGIN * norm:
-                return dropped
+                return dropped, path
         return line_search(first, feasible)
 
     def trace():
         sums = KktSums(cum=cum, total_gap=total_gap)
-        return SolverTrace(solves, tuple(history), _objective(dataset, fitted), sums)
+        return SolverTrace(solves, tuple(records), _objective(dataset, fitted), sums)
 
     # one solve: the budget is at least 100 and the empty set is feasible
     kinks, coef, values, norm = solve(np.empty(0, dtype=int))
+    records = [SolverStep((), (), "feasible", 1)]
 
     while True:
         nodes = system._nodes(kinks)
         fitted = system.fitted(nodes, values)
-        history.append(tuple(kinks.tolist()))
         cum, total_gap = _cumulative_sums(dataset, fitted, gaps)
         # entry p - 1 belongs to design point p; kinks and x[n-1] are closed
         open_sums = cum / scale
@@ -378,21 +390,19 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
         batch = _entering_batch(open_sums, nodes)
         if batch.size == 0:
             break
-        result = enter(batch)
-        if result is not None and batch.size > 1 and _same_kinks(result[0], kinks):
+        spent = solves
+        solution, path = enter(batch)
+        step = _record(kinks, solution[0], batch, dataset.n, path, solves - spent)
+        if batch.size > 1 and not (step.entered or step.dropped):
             # the batch fell through as a whole; retry its deepest index alone
-            result = enter(batch[[open_sums[batch - 1].argmin()]])
-        if result is None:
-            raise SolverError(
-                f"no convergence within {budget} solves "
-                f"(worst normalized violation {open_sums.min():.3e})",
-                trace(),
-            )
-        if _same_kinks(result[0], kinks):
+            solution, _ = enter(batch[[open_sums[batch - 1].argmin()]])
+            step = _record(kinks, solution[0], batch, dataset.n, "retry", solves - spent)
+        if not (step.entered or step.dropped):
             # entering hinge was immediately infeasible at float resolution;
             # no strict progress is possible, certify what we have
             break
-        kinks, coef, values, norm = result
+        records.append(step)
+        kinks, coef, values, norm = solution
 
     # both exits above leave `cum` computed for the final `fitted`
     final = trace()
@@ -428,8 +438,13 @@ def _feasible(solution) -> bool:
     return hinge.size == 0 or bool(np.minimum.reduce(hinge) > 0.0)
 
 
-def _same_kinks(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.size == b.size and bool(np.logical_and.reduce(a == b))
+def _record(kinks, new, batch, n, path, solves) -> SolverStep:
+    """The step from ``kinks`` to ``new``, a set of indices of ``kinks`` and
+    ``batch`` (disjoint), with its changes read off a length-n flag of ``new``."""
+    flag = np.zeros(n, dtype=bool)
+    flag[new] = True
+    return SolverStep(tuple(batch[flag[batch]].tolist()), tuple(kinks[~flag[kinks]].tolist()),
+                      path, solves)
 
 
 def _entering_batch(open_sums: np.ndarray, nodes: np.ndarray) -> np.ndarray:

@@ -1,13 +1,18 @@
-"""The solver corpus: named designs in families, and a recorder for them.
+"""The solver corpus: named designs in families, and recorders for them.
 
 ``test_solver.py::test_corpus_matches_the_recorded_fits`` refits every
 design and compares it with ``fixtures/solver_corpus.json``, which holds each
 fit's certified kinks, objective and solve count as recorded before the
-batch drop entered the solver.  Re-record (only on purpose) with
+batch drop entered the solver.  ``test_solver.py::test_corpus_kink_paths``
+compares the sha256 of every fit's kink path, the kink set of each step,
+with ``fixtures/kink_paths.json``, recorded before the trace kept per-step
+changes in place of per-step kink sets.  Re-record (only on purpose) with
 
     PYTHONPATH=src:tests python tests/corpus.py > tests/fixtures/solver_corpus.json
+    PYTHONPATH=src:tests python tests/corpus.py kink-paths > tests/fixtures/kink_paths.json
 """
 
+import hashlib
 import json
 import sys
 
@@ -124,11 +129,33 @@ def record(dataset):
             "solves": trace.iterations}
 
 
+def replay(steps):
+    """The kink set of every step, from the empty set on: each step's set is
+    the one before it, less its dropped indices, with its entered ones."""
+    kinks = set()
+    path = []
+    for step in steps:
+        kinks.difference_update(step.dropped)
+        kinks.update(step.entered)
+        path.append(sorted(kinks))
+    return path
+
+
+def kink_path_digest(steps):
+    """sha256 of the JSON list of the kink sets that ``steps`` replay to."""
+    return hashlib.sha256(json.dumps(replay(steps)).encode()).hexdigest()
+
+
 if __name__ == "__main__":
     # one line per fit
+    if sys.argv[1:] == ["kink-paths"]:
+        def recorder(dataset):
+            return kink_path_digest(fit_convex_lse(dataset)[1].steps)
+    else:
+        recorder = record
     families = []
     for family, designs in CORPUS.items():
-        fits = [f"  {json.dumps(name)}: {json.dumps(record(build()))}"
+        fits = [f"  {json.dumps(name)}: {json.dumps(recorder(build()))}"
                 for name, build in designs.items()]
         families.append(f" {json.dumps(family)}: {{\n" + ",\n".join(fits) + "\n }")
     sys.stdout.write("{\n" + ",\n".join(families) + "\n}\n")

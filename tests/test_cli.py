@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from convexreg.cli import main
 from convexreg.output import fmt
 from convexreg.simulation import mix_seed
 
+from corpus import replay
 from helpers import largest_accepted_scale, near_duplicate_design, scaled_design
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -190,6 +192,24 @@ def test_solver_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["fit", "--input", str(src), "--output", str(out)]) == 3
     assert (tmp_path / "fit.trace.json").exists()
     assert "trace" in capsys.readouterr().err
+
+
+def test_certificate_failure_writes_the_step_trace(tmp_path, capsys):
+    # no fit certifies at --tol 1e-300: the solver's own trace goes to
+    # <base>.trace.json and no fit artifact is written
+    src = FIXTURES / "fit_n12.csv"
+    assert main(["fit", "--input", str(src), "--output", str(tmp_path / "n12.json"),
+                 "--tol", "1e-300"]) == 3
+    assert "certificate failed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["n12.trace.json"]
+    blob = json.loads((tmp_path / "n12.trace.json").read_text())
+    assert sorted(blob) == ["config", "error", "final_objective", "iterations", "steps"]
+    assert blob["error"].startswith("certificate failed")
+    assert blob["iterations"] == 2
+    assert sum(step["solves"] for step in blob["steps"]) == blob["iterations"]
+    assert replay(SimpleNamespace(**step) for step in blob["steps"]) == [[], [9]]
+    assert main(["fit", "--input", str(src), "--output", str(tmp_path / "ok.json")]) == 0
+    assert json.loads((tmp_path / "ok.json").read_text())["kinks"] == [9]
 
 
 def test_malformed_csv_reports_line(tmp_path, capsys):
@@ -533,11 +553,20 @@ def test_boundary_command_matches_study(tmp_path, capsys):
         ["rates", "--scenario", "affine", "--n-grid", "100,100", "--replicates", "20"],
         ["argmin", "--n-grid", "100,100", "--replicates", "2"],
         ["boundary", "--n-grid", "200,100", "--replicates", "2"],
+        ["rates", "--scenario", "vanishing", "--n-grid", "5000", "--replicates", "40"],
     ],
     ids=["invelope_zero", "invelope_negative", "refine_one", "argmin_zero", "boundary_zero",
-         "rates_zero", "rates_duplicate_n", "argmin_duplicate_n", "boundary_decreasing_n"],
+         "rates_zero", "rates_duplicate_n", "argmin_duplicate_n", "boundary_decreasing_n",
+         "rates_one_size"],
 )
-def test_bad_study_flags_exit_2_before_writing(tmp_path, capsys, argv):
+def test_bad_study_flags_exit_2_before_writing(tmp_path, monkeypatch, capsys, argv):
+    import convexreg.simulation as simulation
+
+    def fail(dataset):
+        raise AssertionError("a replicate ran")
+
+    # no replicate runs either
+    monkeypatch.setattr(simulation, "fit_convex_lse", fail)
     assert main(argv + ["--output", str(tmp_path / "artifact")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1

@@ -122,11 +122,20 @@ class TestRateStudy:
         with pytest.raises(ValueError, match="zero bias"):
             rate_study("affine", n_grid=(50, 100), replicates=20, seed=1, sigma=0.0)
 
-    def test_rejects_nonincreasing_grid_and_few_replicates(self):
+    def test_rejects_nonincreasing_grid_and_few_replicates(self, monkeypatch):
+        import convexreg.simulation as simulation
+
+        def fail(dataset):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(simulation, "fit_convex_lse", fail)
         with pytest.raises(ValueError):
             rate_study("affine", n_grid=(100, 100), replicates=20)
         with pytest.raises(ValueError):
             rate_study("affine", n_grid=(50, 100), replicates=5)
+        # one size has no slope
+        with pytest.raises(ValueError, match=r"n_grid \[1000\]"):
+            rate_study("vanishing", n_grid=(1000,), replicates=20)
 
     def test_smoke_slope_is_negative(self):
         result = rate_study("affine", n_grid=(50, 200, 800), replicates=20, seed=2)

@@ -17,7 +17,14 @@ from convexreg import solver
 from convexreg.simulation import ScenarioSpec, generate_scenario
 from convexreg.solver import _HingeSystem, _entering_batch, _merge_batch, certificate_scale
 
-from corpus import CORPUS, PIN_DESIGNS, extreme_weight_dataset, tiny_first_gap_dataset
+from corpus import (
+    CORPUS,
+    PIN_DESIGNS,
+    extreme_weight_dataset,
+    kink_path_digest,
+    replay,
+    tiny_first_gap_dataset,
+)
 from helpers import (
     lexsort_batch,
     near_duplicate_dataset,
@@ -258,7 +265,7 @@ def test_entering_batch_without_violators_is_an_empty_integer_array():
     assert _entering_batch(open_sums, nodes).tolist() == [2]
 
 
-# (solves, kink-history length, certified kinks) of the corpus's pin
+# (solves, steps, certified kinks) of the corpus's pin
 # designs; a change to the solve path that moves them must say why.
 # invelope_1 gained kink 1811 when the stop floor went: its normalized sum,
 # -1.6e-12, sat above the floor of -8 eps n = -3.6e-12, and entering it
@@ -292,10 +299,12 @@ def test_solve_path_is_pinned(name):
     ds = PIN_DESIGNS[name]()
     for kkt_tol in (1e-8, 1e-6):
         fit, trace = fit_convex_lse(ds, kkt_tol=kkt_tol)
-        assert (trace.iterations, len(trace.kink_history), fit.kinks) == (solves, steps, kinks)
+        assert (trace.iterations, len(trace.steps), fit.kinks) == (solves, steps, kinks)
 
 
-RECORDED = json.loads((Path(__file__).parent / "fixtures" / "solver_corpus.json").read_text())
+FIXTURES = Path(__file__).parent / "fixtures"
+RECORDED = json.loads((FIXTURES / "solver_corpus.json").read_text())
+KINK_PATHS = json.loads((FIXTURES / "kink_paths.json").read_text())
 
 
 @pytest.mark.parametrize("family", sorted(CORPUS))
@@ -319,6 +328,17 @@ def test_corpus_matches_the_recorded_fits(family):
     assert np.mean(solves) <= np.mean(recorded_solves)
     if family == "invelope":
         assert np.mean(solves) <= 18
+
+
+@pytest.mark.parametrize("family", sorted(CORPUS))
+def test_corpus_kink_paths(family):
+    # the step records replay to the kink set of every step that the
+    # recorded per-step snapshots held, and account for every solve: each
+    # corpus fit ends on an empty batch
+    for name, build in CORPUS[family].items():
+        _, trace = fit_convex_lse(build())
+        assert kink_path_digest(trace.steps) == KINK_PATHS[family][name], name
+        assert sum(step.solves for step in trace.steps) == trace.iterations, name
 
 
 @pytest.mark.parametrize("family", sorted(CORPUS))
@@ -530,8 +550,20 @@ def test_trace_records_progress():
     ds = noisy_convex_dataset(2, n=80)
     fit, trace = fit_convex_lse(ds)
     assert trace.iterations >= 1
-    assert len(trace.kink_history) >= 1
-    assert set(fit.kinks) <= set(trace.kink_history[-1])
+    first, *later = trace.steps
+    assert (first.entered, first.dropped, first.path, first.solves) == ((), (), "feasible", 1)
+    assert later
+    # every later step changes the set: what enters was out, what drops was in
+    kinks = set()
+    for step in later:
+        assert step.entered or step.dropped
+        assert list(step.entered) == sorted(set(step.entered) - kinks)
+        assert list(step.dropped) == sorted(set(step.dropped) & kinks)
+        assert step.path in ("feasible", "batch_drop", "line_search", "retry")
+        assert step.solves >= 1
+        kinks = (kinks - set(step.dropped)) | set(step.entered)
+    assert set(fit.kinks) <= kinks == set(replay(trace.steps)[-1])
+    assert sum(step.solves for step in trace.steps) == trace.iterations
     resid = ds.y - fit.fitted
     assert trace.final_objective == pytest.approx(
         float(np.sum(ds.weights * resid**2)), rel=1e-12
