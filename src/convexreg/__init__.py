@@ -28,8 +28,6 @@ _EXPORTS = {
         "SegmentReport",
         "characterization_report",
         "segment_reports",
-        "tent_functional",
-        "tent_weight",
     ),
     "inference": (
         "ArgminResult",

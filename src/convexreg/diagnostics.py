@@ -1,12 +1,11 @@
 """Directly computable optimality diagnostics for a convex fit.
 
 Everything here evaluates finite-sample characterization objects for a
-(dataset, fit) pair: the tent-perturbation functional, per-segment residual
-sums with their sign pattern, the gap between each affine piece and the
-plain least-squares line through the same points, and an aggregate
-pass/fail report.  The functions accept either a :class:`ConvexFit` or a
-raw fitted-value array, so they can also reject fits that were not produced
-by the solver.
+(dataset, fit) pair: per-segment residual sums with their sign pattern, the
+gap between each affine piece and the plain least-squares line through the
+same points, and an aggregate pass/fail report.  The functions accept
+either a :class:`ConvexFit` or a raw fitted-value array, so they can also
+reject fits that were not produced by the solver.
 
 The cumulative gap process G(x_p) = sum_{i <= p} w_i (fit_i - y_i)(x_p - x_i)
 is ``cum[p-1]`` of :func:`convexreg.solver.kkt_sums` (G(x_0) = 0), and the
@@ -14,9 +13,9 @@ report's cumulative-sum conditions are its :meth:`KktSums.violations`.
 
 Sign convention: ``cum`` is oriented as fitted-minus-observed, which makes
 it nonnegative across the design with zeros at the kinks exactly when the
-fit is optimal.  Residual sums (tent functional, segment sums) keep the
-observed-minus-fitted orientation of the inequalities they certify.  All
-sums carry dataset weights so merged duplicates count with multiplicity.
+fit is optimal.  Segment residual sums keep the observed-minus-fitted
+orientation of the inequalities they certify.  All sums carry dataset
+weights so merged duplicates count with multiplicity.
 """
 
 import numpy as np
@@ -43,37 +42,15 @@ def _fit_view(dataset: Dataset, fit_or_values):
     return values, kink_indices(dataset.x, values, dataset.kink_threshold)
 
 
-def tent_weight(u: float, v: float, x):
-    """Tent-shaped perturbation weight: 1 outside [u, v], dipping to -1 at the
-    midpoint, with value 1 at u and v."""
-    x = np.asarray(x, dtype=float)
-    return 1.0 - np.maximum(2.0 - (4.0 / (v - u)) * np.abs(x - 0.5 * (u + v)), 0.0)
-
-
-def tent_functional(dataset: Dataset, fit_or_values, u: float, v: float) -> float:
-    """Average residual against the tent perturbation over [u, v].
-
-    Nonpositive whenever u < v are both kinks of an optimal fit; for other
-    (u, v) the value is informational only.
-    """
-    if not (u < v):
-        raise ValueError("need u < v")
-    if u < 0.0 or v > 1.0:
-        raise ValueError("u and v must lie in [0, 1]")
-    fitted, _ = _fit_view(dataset, fit_or_values)
-    resid = dataset.y - fitted
-    f = tent_weight(u, v, dataset.x)
-    return float(np.sum(dataset.weights * f * resid) / dataset.total_weight)
-
-
 @dataclass(frozen=True)
 class SegmentReport:
     """Residual sums and least-squares comparison for one affine piece.
 
     ``t1``/``t2`` are the closed-interval residual sums (plain and
     x-weighted); for an optimal fit both are nonpositive while the
-    open-interval versions are nonnegative, the endpoint residuals are
-    nonpositive, and ``sup_gap`` obeys ``gap_bound``.
+    open-interval versions are nonnegative and the endpoint residuals are
+    nonpositive.  ``sup_gap`` obeys ``gap_bound`` when the fit is exactly
+    affine on the piece, which bends below the kink threshold can break.
     """
 
     u: float

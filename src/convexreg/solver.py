@@ -18,9 +18,9 @@ strict descent, which is all the support-reduction argument needs; the norm
 comes out of the sweep, so the test is O(k).  Otherwise feasibility is
 resolved by Meyer's line search toward the first solve's coefficients,
 dropping hinges whose coefficients reach zero (most binding first).  The
-loop stops when no open sum is strictly negative; ``kkt_tol`` only judges
-the certificate, the cumulative-sum conditions themselves, and never
-changes the solve path:
+loop stops when no open sum is strictly negative, or when a step enters and
+drops nothing; ``kkt_tol`` only judges the certificate, the cumulative-sum
+conditions themselves, and never changes the solve path:
 
     cum[p] = sum_{k < p} (prefix_fitted_k - prefix_response_k) * (x_{k+1} - x_k)
 
@@ -111,11 +111,11 @@ class SolverStep:
     """One step of the active-set loop: the sorted indices that ``entered``
     the kink set and that were ``dropped`` from it, the ``path`` that made
     the step feasible and the ``solves`` it spent.  ``path`` is
-    ``"feasible"`` (the entry solve was feasible), ``"batch_drop"``,
-    ``"line_search"`` or ``"retry"`` (the whole batch fell through and its
-    deepest index entered alone).  An entry that changes nothing ends the
-    loop without a record, so the records' solves add up to
-    ``SolverTrace.iterations`` unless the loop ended that way."""
+    ``"feasible"`` (the entry solve was feasible), ``"batch_drop"`` or
+    ``"line_search"``.  A step that enters and drops nothing is recorded
+    and ends the loop, so the records' solves add up to
+    ``SolverTrace.iterations``; only a trace cut short by the solve budget
+    leaves its last step's solves out."""
 
     entered: tuple[int, ...]
     dropped: tuple[int, ...]
@@ -393,15 +393,11 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
         spent = solves
         solution, path = enter(batch)
         step = _record(kinks, solution[0], batch, dataset.n, path, solves - spent)
-        if batch.size > 1 and not (step.entered or step.dropped):
-            # the batch fell through as a whole; retry its deepest index alone
-            solution, _ = enter(batch[[open_sums[batch - 1].argmin()]])
-            step = _record(kinks, solution[0], batch, dataset.n, "retry", solves - spent)
-        if not (step.entered or step.dropped):
-            # entering hinge was immediately infeasible at float resolution;
-            # no strict progress is possible, certify what we have
-            break
         records.append(step)
+        if not (step.entered or step.dropped):
+            # the entering hinges were infeasible at float resolution; no
+            # strict progress is possible, certify what we have
+            break
         kinks, coef, values, norm = solution
 
     # both exits above leave `cum` computed for the final `fitted`

@@ -78,6 +78,12 @@ def extreme_weight_dataset(seed, n=300):
     return Dataset(x=x, y=y, weights=weights)
 
 
+def near_noiseless_dataset(seed, n, sigma):
+    """Quadratic mean plus sigma times standard normal noise."""
+    _, x, y = _noisy_quadratic(seed, n, lambda rng, n: sigma * rng.standard_normal(n))
+    return Dataset.from_arrays(x, y)
+
+
 # the designs of test_solver.py's SOLVE_PATH_PINS
 PIN_DESIGNS = {
     "rates_500_0": lambda: rates_dataset(500, 0),

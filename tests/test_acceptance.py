@@ -23,13 +23,13 @@ from convexreg import (
     segment_reports,
     simulate_affine_invelope,
     simulate_invelope,
-    tent_functional,
     ScenarioSpec,
 )
 from convexreg.cli import main
 from convexreg.output import fmt
 from convexreg.simulation import mix_seed
 
+from characterization import tent_functional
 from oracle import enumerate_convex_lse
 
 BASE_SEED = 20260808

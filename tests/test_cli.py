@@ -18,7 +18,7 @@ from convexreg.cli import main
 from convexreg.output import fmt
 from convexreg.simulation import mix_seed
 
-from corpus import replay
+from corpus import near_noiseless_dataset, replay
 from helpers import largest_accepted_scale, near_duplicate_design, scaled_design
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -210,6 +210,21 @@ def test_certificate_failure_writes_the_step_trace(tmp_path, capsys):
     assert replay(SimpleNamespace(**step) for step in blob["steps"]) == [[], [9]]
     assert main(["fit", "--input", str(src), "--output", str(tmp_path / "ok.json")]) == 0
     assert json.loads((tmp_path / "ok.json").read_text())["kinks"] == [9]
+
+
+def test_stalled_certificate_failure_records_every_solve(tmp_path, capsys):
+    # this near-noiseless fit ends on a step that enters and drops nothing;
+    # its trace records that step too, so the step solves add up
+    ds = near_noiseless_dataset(0, 2000, 1e-8)
+    src = tmp_path / "stall.csv"
+    write_xy(src, ds.x, ds.y)
+    assert main(["fit", "--input", str(src), "--output", str(tmp_path / "stall.json"),
+                 "--tol", "1e-300"]) == 3
+    assert "certificate failed" in capsys.readouterr().err
+    blob = json.loads((tmp_path / "stall.trace.json").read_text())
+    assert blob["iterations"] == 44
+    assert sum(step["solves"] for step in blob["steps"]) == blob["iterations"]
+    assert (blob["steps"][-1]["entered"], blob["steps"][-1]["dropped"]) == ([], [])
 
 
 def test_malformed_csv_reports_line(tmp_path, capsys):

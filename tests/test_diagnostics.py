@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from convexreg import (
     KKT_TOL,
@@ -9,15 +10,17 @@ from convexreg import (
     fit_convex_lse,
     kkt_sums,
     segment_reports,
-    tent_functional,
-    tent_weight,
 )
+from convexreg.diagnostics import _fit_view
 from convexreg.solver import certificate_scale
 
+from characterization import tent_functional, tent_weight
 from helpers import (
     largest_accepted_scale,
+    near_duplicate_dataset,
     near_duplicate_design,
     noisy_convex_dataset,
+    random_convex_values,
     random_dataset,
     scaled_design,
 )
@@ -175,6 +178,109 @@ class TestSegmentReports:
                     gaps.append(max(s.sup_gap for s in segs))
             medians.append(float(np.median(gaps)))
         assert all(b < a for a, b in zip(medians[:-1], medians[1:]))
+
+
+def gap_process(ds, sums, t):
+    """G(t) from the certificate sums: 0 left of x[0], linear between the
+    design points and of slope ``total_gap`` right of x[n-1]."""
+    g = np.interp(t, ds.x, np.concatenate(([0.0], sums.cum)))
+    return np.where(t > ds.x[-1], g + sums.total_gap * (t - ds.x[-1]), g)
+
+
+class TestReportImpliesTheCharacterizationHelpers:
+    # the tent functional and the segment sign conditions are functions of
+    # the certificate sums, so the report's three cumulative-sum violations
+    # (their largest is delta) bound them on any column; a column the report
+    # passes has delta <= kkt_tol.  With S the certificate scale, G the gap
+    # process and P_p = G'(x_p+) the prefix of w (f - y) through p, the
+    # report gives G >= -delta S, |G| <= delta S at its kinks and at x[n-1]
+    # and |P_{n-1}| <= delta S, hence P_{b-1} <= 2 delta S / gap_{b-1} and
+    # -P_b <= 2 delta S / gap_b at a kink b (-P_0 <= delta S / gap_0, as
+    # G(x_0) = 0).  Every bound below also allows rho, a rounding margin of
+    # 8 n eps sum w (|f| + |y|) on each sum
+
+    @given(st.integers(0, 10_000), st.sampled_from(["plain", "weighted", "near_duplicate"]))
+    def test_report_bounds_tent_and_segment_signs(self, seed, design):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 150))
+        ds = {"plain": lambda: noisy_convex_dataset(seed, n),
+              "weighted": lambda: random_dataset(seed, n=n, weighted=True),
+              "near_duplicate": lambda: near_duplicate_dataset(seed, n)}[design]()
+        fit, _ = fit_convex_lse(ds)
+        noise = ds.response_scale * 10.0 ** rng.uniform(-14.0, -6.0)
+        # the fit, a perturbed fit, the all-zero and weighted-mean columns
+        # and a random convex column
+        for column in (fit, fit.fitted + noise * rng.standard_normal(ds.n), np.zeros(ds.n),
+                       np.full(ds.n, np.sum(ds.weights * ds.y) / ds.total_weight),
+                       random_convex_values(ds.x, seed)):
+            self.check_column(ds, column, rng)
+
+    @staticmethod
+    def check_column(ds, column, rng):
+        report = characterization_report(ds, column)
+        delta = max(report.condition(name).worst for name in (
+            "cumulative_sums_nonnegative", "cumulative_sums_zero_at_kinks",
+            "total_mass_match"))
+        fitted, kinks = _fit_view(ds, column)
+        sums = kkt_sums(ds, column)
+        w_total = ds.total_weight
+        rho = 8 * ds.n * np.finfo(float).eps * np.sum(ds.weights * (np.abs(fitted)
+                                                                    + np.abs(ds.y)))
+        slack = delta * report.scale + rho
+
+        # the identity, at random pairs and at kink pairs
+        pairs = [tuple(np.sort(rng.uniform(0.0, 1.0, 2))) for _ in range(4)]
+        pairs += [(ds.x[a], ds.x[b]) for i, a in enumerate(kinks) for b in kinks[i + 1:]]
+        for u, v in pairs:
+            h = v - u
+            g_u, g_m, g_v = gap_process(ds, sums, np.array([u, 0.5 * (u + v), v]))
+            identity = -(sums.total_gap + (4.0 / h) * (2.0 * g_m - g_u - g_v)) / w_total
+            assert abs(tent_functional(ds, column, u, v) - identity) <= \
+                rho * (2.0 + 16.0 / h) / w_total
+        # so at a kink pair the tent is at most delta (1 + max|y|) (1 + 16/h)
+        for i, a in enumerate(kinks):
+            for b in kinks[i + 1:]:
+                h = ds.x[b] - ds.x[a]
+                assert tent_functional(ds, column, ds.x[a], ds.x[b]) <= \
+                    (slack * (1.0 + 16.0 / h) + rho) / w_total
+
+        gaps = np.diff(ds.x)
+
+        def left_of(b):  # bound on P_{b-1}, with P_{-1} = 0
+            return 0.0 if b == 0 else 2.0 * slack / gaps[b - 1]
+
+        def right_of(b):  # bound on -P_b
+            if b == ds.n - 1:
+                return slack
+            return (1.0 if b == 0 else 2.0) * slack / gaps[b]
+
+        # t1 = P_{a-1} - P_b, open_t1 = P_a - P_{b-1}, the endpoint residuals
+        # are P_{a-1} - P_a and P_{b-1} - P_b, and by summation by parts
+        # t2 = x_a P_{a-1} - x_b P_b + G(x_b) - G(x_a) and open_t2 =
+        # x_a P_a - x_b P_{b-1} + G(x_b) - G(x_a), with x in [0, 1]
+        for seg in segment_reports(ds, column):
+            a, b = seg.first_index, seg.last_index
+            assert seg.t1 <= left_of(a) + right_of(b) + rho
+            assert -seg.open_t1 <= right_of(a) + left_of(b) + rho
+            assert seg.endpoint_resid_u <= left_of(a) + right_of(a) + rho
+            assert seg.endpoint_resid_v <= left_of(b) + right_of(b) + rho
+            assert seg.t2 <= left_of(a) + right_of(b) + 2.0 * slack + rho
+            assert -seg.open_t2 <= right_of(a) + left_of(b) + 2.0 * slack + rho
+
+    def test_gap_bound_is_not_implied_by_the_report(self):
+        # the gap bound holds on exactly affine pieces, but a piece between
+        # kinks may bend below the kink threshold: this certified fit has
+        # every report condition at 0, no kinks and one curved piece, whose
+        # gap to its least-squares line is 6.7e-6 against a bound of 0
+        x = np.linspace(0.0, 1.0, 1000)
+        ds = Dataset(x=x, y=4e-5 * x**2, weights=np.ones(1000))
+        fit, _ = fit_convex_lse(ds)
+        report = characterization_report(ds, fit)
+        assert report.passed and max(c.worst for c in report.conditions) == 0.0
+        assert fit.kinks == ()
+        (seg,) = segment_reports(ds, fit)
+        assert seg.gap_bound == 0.0
+        assert (seg.sup_gap - seg.gap_bound) / ds.response_scale > 6e-6
 
 
 class TestCharacterizationReport:
