@@ -10,14 +10,22 @@ joins them and :func:`write_json` writes them without joining, so a large
 artifact is never held as one string, copied or encoded in one piece.
 A 1-d ``float64`` array (the per-point data of a fit) is checked for
 finiteness in one vectorized pass and then formatted in chunks of
-``_CHUNK`` values, each by a single ``%.17g`` formatting call over
-``chunk.tolist()``.  Everything else (lists, scalars, int, bool and
-multi-dimensional arrays) goes element by element through :func:`fmt`.
-That path stays as the byte reference for the array pass: ``%.17g`` on a
-Python float prints exactly what ``f"{v:.17g}"`` prints, and a non-finite
-value raises the same error from either path.
+``_CHUNK`` values by :func:`_format_chunk`, a numpy kernel that prints the
+bytes ``%.17g`` prints.  It rounds a double-double product of each value
+with a power of ten to 17 digits, lays every value out in fixed fields
+padded with NUL bytes and deletes the padding in one ``bytes.translate``.
+The values it cannot decide go through ``%.17g`` one by one: zeros,
+subnormals, decimal exponents outside [-99, 99), products within 2**-30 of a
+rounding tie (every exact tie among them), a log10 off by one and a value
+that rounds up to the next power of ten.  A chunk whose values all have the
+same bits (a fit's unit weights) formats its one value once.  Everything
+else (lists, scalars, int, bool and multi-dimensional arrays) goes element
+by element through :func:`fmt`, which stays the byte reference for the
+kernel: ``%.17g`` on a Python float prints exactly what ``f"{v:.17g}"``
+prints, and a non-finite value raises the same error from either path.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -36,7 +44,135 @@ def fmt(value) -> str:
     return str(value)
 
 
-_CHUNK = 4096  # float64 values per formatted piece (about 100 kB of text)
+_CHUNK = 2048  # float64 values per formatted piece (about 40 kB of text)
+_P_LIM = 99  # the kernel prints decimal exponents -_P_LIM <= p < _P_LIM
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+
+@functools.cache
+def _tables():
+    """The kernel's tables, built on first use and indexed by p + _P_LIM.
+
+    ``pow10`` holds 10**(16 - p) as hi + lo, each correctly rounded from
+    exact integers, with hi's Dekker split; ``quad`` maps 0..9999 to four
+    ASCII digits, then to the same digits with trailing zeros blanked.  A
+    value's row is 11 words: a 20-byte integer field (comma, sign, ``0.``
+    and digits d0..d16 at bytes 3..19), a 20-byte fraction field (``.`` or
+    the zeros of ``0.000`` at bytes 0..2, the same digits again) and the
+    exponent; ``mask`` keeps each field's digits for exponent p and
+    ``fill`` holds words 0, 5 and 10 by (fraction kept, negative, p).
+    """
+    pow10 = []
+    for p in range(-_P_LIM, _P_LIM):
+        k = 16 - p
+        if k >= 0:
+            hi = float(10**k)
+            pow10.append((hi, float(10**k - int(hi))))
+        else:
+            hi = 1 / 10**-k
+            num, den = hi.as_integer_ratio()
+            pow10.append((hi, (den - num * 10**-k) / (den * 10**-k)))
+    hi, lo = np.array(pow10).T
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+    pow10 = np.stack([hi, hh, hi - hh, lo], axis=1)
+
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    quad = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    for b in range(4):
+        quad[..., b] = digits.reshape((10,) + (1,) * (3 - b))
+    quad[1, ..., 3][quad[1, ..., 3] == 48] = 0
+    for b in (2, 1, 0):
+        quad[1, ..., b][(quad[1, ..., b] == 48) & (quad[1, ..., b + 1] == 0)] = 0
+
+    p = np.arange(-_P_LIM, _P_LIM)
+    fixed = (p >= -4) & (p < 17)  # where %g prints no exponent
+    q = np.where(fixed, np.maximum(p + 1, 0), 1)[:, None]  # integer digits
+    at = np.arange(20) - 3
+    mask = np.concatenate([(at >= 0) & (at < q), at >= q], axis=1) * np.uint8(255)
+    fill = np.zeros((2, 2, p.size, 44), np.uint8)
+    fill[..., 0] = ord(",")
+    fill[:, 1, :, 1] = ord("-")
+    fill[1, :, q[:, 0] > 0, 22] = ord(".")
+    small = fixed & (p < 0)
+    fill[:, :, small, 2:4] = np.frombuffer(b"0.", np.uint8)
+    for z in range(1, 4):
+        fill[:, :, small & (p < -z), 23 - z] = ord("0")
+    fill[..., 40:] = np.frombuffer(b"".join(
+        b"\0" * 4 if f else b"e%+03d" % e for e, f in zip(p.tolist(), fixed.tolist())),
+        np.uint8).reshape(p.size, 4)
+    fill = fill.reshape(-1, 44).view(np.uint32)[:, [0, 5, 10]]
+    return (pow10, quad.reshape(-1, 4).view(np.uint32).ravel(),
+            np.ascontiguousarray(mask.view(np.uint32).T), np.ascontiguousarray(fill.T))
+
+
+def _format_chunk(v):
+    """``",%.17g"`` of every value of a finite 1-d float64 array, joined."""
+    bits = v.view(np.int64)
+    if (bits == bits[0]).all():
+        return (",%.17g" % v[0]) * v.size
+    n, i, ok = _digits(v)
+    rows = _rows(n, i, np.signbit(v))
+    for k in np.flatnonzero(~ok):
+        rows[:, k] = np.frombuffer((",%.17g" % v[k]).encode().ljust(44, b"\0"), np.uint32)
+    return rows.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _digits(v):
+    """The 17 significant digits n of each |v| with its exponent p as
+    i = p + _P_LIM, and whether the kernel decided them."""
+    pow10 = _tables()[0]
+    # p from log10, checked below by the digit count; zeros and subnormals
+    # get a p below the range
+    a = np.abs(v)
+    p = np.floor(np.log10(np.maximum(a, 1e-300)))
+    ok = (p >= -_P_LIM) & (p < _P_LIM)
+    i = np.where(ok, p + _P_LIM, _P_LIM).astype(np.intp)
+    a[~ok] = 1.0
+    # ph + pl is a * 10**(16 - p) to within 2**-46; Dekker's product is exact
+    h, hh, hl, lo = pow10.take(i, axis=0).T
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    ph = a * h
+    pl = ((ah * hh - ph) + ah * hl + al * hh) + al * hl + a * lo
+    fl = np.floor(pl)
+    frac = pl - fl
+    n = ph.astype(np.int64) + fl.astype(np.int64)
+    ok &= (np.abs(frac - 0.5) > 2.0**-30) & (n >= 10**16)
+    n += frac > 0.5
+    ok &= n < 10**17  # a value that rounds up to 10**(p + 1) takes the % path
+    return n, i, ok
+
+
+def _rows(n, i, negative):
+    """The (11, m) words of each value's text row, padded with NUL bytes."""
+    _, quad, mask, fill = _tables()
+    # groups d0, d1..d4, d5..d8, d9..d12, d13..d16; the fraction copy takes
+    # a group's zero-blanked digits when all groups after it are 0
+    g = np.empty((10, n.size), np.intp)
+    hi8 = n // 10**8
+    lo8 = n - hi8 * 10**8
+    top = hi8 // 10**4
+    np.subtract(hi8, top * 10**4, out=g[2])
+    np.floor_divide(top, 10**4, out=g[0])
+    np.subtract(top, g[0] * 10**4, out=g[1])
+    np.floor_divide(lo8, 10**4, out=g[3])
+    np.subtract(lo8, g[3] * 10**4, out=g[4])
+    g[5:] = g[:5]
+    after = g[6:] == 0
+    for k in (2, 1, 0):
+        after[k] &= after[k + 1]
+    g[5:9] += after * 10**4
+    g[9] += 10**4
+    rows = np.empty((11, n.size), np.uint32)
+    quad.take(g, out=rows[:10])
+    rows[:10] &= mask.take(i, axis=1)
+    f = fill.take(i + 2 * _P_LIM * (negative + 2 * rows[5:10].any(axis=0)), axis=1)
+    rows[0] |= f[0]
+    rows[5] |= f[1]
+    rows[10] = f[2]
+    return rows
 
 
 def _json_pieces(obj):
@@ -47,8 +183,8 @@ def _json_pieces(obj):
             fmt(obj[np.argmin(finite)])  # raises fmt's error for the first bad value
         yield "["
         for start in range(0, obj.size, _CHUNK):
-            chunk = obj[start:start + _CHUNK].tolist()
-            yield ("," if start else "") + ",".join(["%.17g"] * len(chunk)) % tuple(chunk)
+            text = _format_chunk(obj[start:start + _CHUNK])
+            yield text if start else text[1:]  # no comma before the first value
         yield "]"
     elif isinstance(obj, np.ndarray):
         yield from _json_pieces(list(obj))

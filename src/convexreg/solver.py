@@ -111,11 +111,11 @@ class SolverStep:
     """One step of the active-set loop: the sorted indices that ``entered``
     the kink set and that were ``dropped`` from it, the ``path`` that made
     the step feasible and the ``solves`` it spent.  ``path`` is
-    ``"feasible"`` (the entry solve was feasible), ``"batch_drop"`` or
-    ``"line_search"``.  A step that enters and drops nothing is recorded
-    and ends the loop, so the records' solves add up to
-    ``SolverTrace.iterations``; only a trace cut short by the solve budget
-    leaves its last step's solves out."""
+    ``"feasible"`` (the entry solve was feasible), ``"batch_drop"``,
+    ``"line_search"`` or ``"budget"``: the solve budget ran out during the
+    step, which then enters and drops nothing.  A step that enters and
+    drops nothing is recorded and ends the loop, so the records' solves add
+    up to ``SolverTrace.iterations`` on every trace."""
 
     entered: tuple[int, ...]
     dropped: tuple[int, ...]
@@ -125,8 +125,9 @@ class SolverStep:
 
 @dataclass(frozen=True)
 class SolverTrace:
-    """``iterations`` counts the linear solves; ``steps`` holds one
-    :class:`SolverStep` per step, the affine start first, whose replay gives
+    """``iterations`` counts the linear solves, the sum of ``steps[k].solves``;
+    ``steps`` holds one :class:`SolverStep` per step, the affine start
+    first and a budget exit's interrupted step last, whose replay gives
     each step's kink set (a certified fit's last); ``final_objective`` is
     sum(w * (y - fitted)^2), ``certificate`` the last step's :class:`KktSums`."""
 
@@ -317,12 +318,15 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
     budget = _SOLVES_PER_POINT * dataset.n
     gaps = np.diff(dataset.x)  # every step's certificate sums reuse them
 
-    solves = 0
+    solves = spent = 0  # solves in all, and before the current step
+    records = []
 
     def solve(current):
-        # (kinks, coef, values, norm); raises once the budget is spent
+        # (kinks, coef, values, norm); raises once the budget is spent, with
+        # the interrupted step on record and the kink set left as it was
         nonlocal solves
         if solves >= budget:
+            records.append(SolverStep((), (), "budget", solves - spent))
             raise SolverError(f"no convergence within {budget} solves (worst normalized "
                               f"violation {open_sums.min():.3e})", trace())
         solves += 1
@@ -377,7 +381,7 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
 
     # one solve: the budget is at least 100 and the empty set is feasible
     kinks, coef, values, norm = solve(np.empty(0, dtype=int))
-    records = [SolverStep((), (), "feasible", 1)]
+    records.append(SolverStep((), (), "feasible", 1))
 
     while True:
         nodes = system._nodes(kinks)

@@ -752,7 +752,8 @@ def test_fit_command_loads_only_the_fit_path(tmp_path):
     report = json.loads(out.stdout)
     assert report["rc"] == 0
     assert "convexreg.solver" in report["loaded"]
-    for module in ("numpy.random", "convexreg.simulation", "convexreg.inference"):
+    for module in ("numpy.random", "convexreg.simulation", "convexreg.inference",
+                   "fractions", "decimal"):
         assert module not in report["loaded"]
 
 

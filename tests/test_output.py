@@ -1,9 +1,11 @@
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from convexreg.output import _CHUNK, canonical_json, fmt, write_csv, write_json
+from convexreg.output import _CHUNK, _P_LIM, _digits, canonical_json, fmt, write_csv, write_json
 
 EDGE_VALUES = [
     0.0, -0.0, 0.1, -0.1, 1.0, -3.0, 2.0**53, 1e16, 1e22, 123456789.0,
@@ -123,3 +125,95 @@ def test_non_finite_payload_leaves_no_file(tmp_path, writer):
         else:
             write_csv(path, {"seed": 1}, ("a", "b"), [(0.5, 1.0), (2.0, float("nan"))])
     assert not path.exists()
+
+
+def per_element(values):
+    return "[" + ",".join(fmt(v) for v in values.tolist()) + "]"
+
+
+finite_bits = st.tuples(st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1)).map(
+    lambda t: (t[0] << 63) | (t[1] << 52) | t[2])
+
+
+@settings(max_examples=200)
+@given(st.lists(finite_bits, min_size=1, max_size=40))
+def test_array_kernel_prints_fmt_bytes_for_any_finite_bits(bits):
+    arr = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert canonical_json(arr) == per_element(arr)
+
+
+def test_exact_ties_print_as_fmt():
+    # odd m / 2**k in [10**(17 - k), 10**(18 - k)) has 18 significant
+    # digits, the last a 5: a tie at 17 digits that %.17g rounds to even
+    rng = np.random.default_rng(5)
+    ties = []
+    for k in range(4, 25):
+        m = rng.integers(2**k * 10 ** (17 - k), 2**k * 10 ** (18 - k), 200, dtype=np.int64) | 1
+        ties.append(m / 2.0**k)
+    arr = np.concatenate(ties)
+    for v in arr[::97].tolist():
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    assert canonical_json(arr) == per_element(arr)
+    assert canonical_json(-arr) == per_element(-arr)
+
+
+def test_near_ties_print_as_fmt():
+    # v = m / 2**(s + 23) with v * 1e23 = m * 5**23 / 2**s within 64 / 2**s of
+    # a half-integer but not on it: 1e23 is inexact, so the kernel's product
+    # is too, and such a value must take the % path or round the right way
+    near = []
+    for s in range(48, 54):
+        inverse = pow(5**23, -1, 2**s)
+        for d in [*range(-64, 0), *range(1, 65)]:
+            start = (2 ** (s - 1) + d) * inverse % 2**s
+            near += [m / 2.0 ** (s + 23) for m in range(start, 2**53, 2**s)
+                     if m >= 2**52 and 10**16 <= (m * 5**23) >> s < 10**17]
+    arr = np.array(near)
+    assert arr.size > 900
+    assert canonical_json(arr) == per_element(arr)
+
+
+def test_powers_of_ten_at_the_kernel_edges():
+    ks = [*range(-_P_LIM - 2, -_P_LIM + 3), *range(-6, 25), *range(_P_LIM - 3, _P_LIM + 3)]
+    tens = np.array([float(f"1e{k}") for k in ks])
+    arr = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+                          3.0 * tens, 9.5 * tens])
+    assert canonical_json(arr) == per_element(arr)
+    assert canonical_json(-arr) == per_element(-arr)
+
+
+def test_values_that_round_up_to_the_next_power_print_as_fmt():
+    # each double lies below 10**k and prints as 1e±k at 17 digits
+    ks = [-79, -78, -73, -70, -14, 98]
+    arr = np.array([float(f"1e{k}") for k in ks])
+    assert [fmt(v) for v in arr] == [f"1e{k:+03d}" if k > 0 else f"1e{k:03d}" for k in ks]
+    assert canonical_json(np.repeat(arr, 3)) == per_element(np.repeat(arr, 3))
+
+
+@pytest.mark.parametrize("arr", [
+    np.zeros(5), -np.zeros(5), np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0]),
+    np.ones(3 * _CHUNK + 1), np.full(7, 0.1),
+])
+def test_constant_arrays_print_as_fmt(arr):
+    assert canonical_json(arr) == per_element(arr)
+
+
+def test_kernel_decides_all_but_exact_ties():
+    # the % path is for the rare values the kernel cannot decide: on fit-like
+    # data none, over 180 decades only the exact 17-digit ties
+    rng = np.random.default_rng(0)
+    for values in (rng.standard_normal(10_000), np.sort(rng.random(10_000))):
+        assert _digits(values)[2].all()
+    values = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-90, 90, 10_000)
+    undecided = values[~_digits(values)[2]].tolist()
+    assert 0 < len(undecided) < 100
+    for v in undecided:
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+
+
+def test_strided_array_prints_as_fmt():
+    arr = random_payload(3 * _CHUNK)[::3]
+    assert not arr.flags.contiguous
+    assert canonical_json(arr) == per_element(arr)

@@ -565,6 +565,23 @@ def test_every_solve_is_within_the_budget(monkeypatch):
         assert len(calls) == math.ceil(budget / ds.n * ds.n)
 
 
+@pytest.mark.parametrize("name", ["invelope_0", "rates_10000_0", "weighted_7"])
+def test_budget_exit_trace_records_every_solve(monkeypatch, name):
+    # a budget that runs out mid-step records the interrupted step, which
+    # keeps the kink set, so the record solves add up on every budget exit
+    ds = PIN_DESIGNS[name]()
+    needed = fit_convex_lse(ds)[1].iterations
+    for budget in range(1, needed):
+        monkeypatch.setattr(solver, "_SOLVES_PER_POINT", budget / ds.n)
+        with pytest.raises(SolverError, match="solves") as info:
+            fit_convex_lse(ds)
+        trace = info.value.trace
+        assert sum(step.solves for step in trace.steps) == trace.iterations
+        last = trace.steps[-1]
+        assert (last.entered, last.dropped, last.path) == ((), (), "budget")
+        assert all(step.path != "budget" for step in trace.steps[:-1])
+
+
 def test_trace_records_progress():
     ds = noisy_convex_dataset(2, n=80)
     fit, trace = fit_convex_lse(ds)
