@@ -44,7 +44,10 @@ def test_float_array_bytes_equal_per_element_path():
                      canonical_json({"v": arr.tolist(), "w": [arr[:3].tolist()]}))
 
 
-@pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+# 4095..4097 and 12288 straddle chunk boundaries for any power-of-two
+# chunk up to 4096; the _CHUNK-derived sizes follow the current chunk
+@pytest.mark.parametrize("size", sorted({1, 4095, 4096, 4097, 12288,
+                                         _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK}))
 def test_chunk_boundaries_keep_the_bytes(size):
     arr = random_payload(size + len(EDGE_VALUES), seed=size)[-size:]
     assert_same_text(canonical_json(arr), canonical_json(arr.tolist()))
