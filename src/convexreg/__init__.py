@@ -23,12 +23,7 @@ _EXPORTS = {
         "left_derivative",
     ),
     "solver": ("KktSums", "SolverError", "SolverTrace", "fit_convex_lse", "kkt_sums"),
-    "diagnostics": (
-        "KktReport",
-        "SegmentReport",
-        "characterization_report",
-        "segment_reports",
-    ),
+    "diagnostics": ("KktReport", "characterization_report"),
     "inference": (
         "ArgminResult",
         "BoundaryDiagnostics",

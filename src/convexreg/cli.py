@@ -7,7 +7,8 @@ simulator), ``argmin`` (minimizer scaling study), ``boundary`` (boundary
 overshoot frequencies).
 
 Exit codes: 0 success and certified / all checks passed, 1 check command
-completed with failing conditions, 2 malformed input or flags, 3 solver or
+completed with failing conditions, 2 malformed input or flags (an output
+file that cannot be written included), 3 solver or
 runtime failure (``fit`` writes a trace file next to the requested output on
 a solver failure) or a study's replicate worker that died without a result.
 Every output embeds the resolved configuration including the seed; reruns
@@ -54,7 +55,7 @@ def _read_csv_columns(path, columns):
     number of the first bad row.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")  # a byte-order mark is dropped
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     with fh:
@@ -142,13 +143,22 @@ def _base_path(output):
     return output
 
 
+def _write(writer, path, *args):
+    """``writer(path, *args)``; an output file that cannot be opened or
+    written is an input error, as an unreadable ``--input`` is."""
+    try:
+        writer(path, *args)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _write_study(config, header, rows, summary):
     """Write a study's artifact pair at the base of ``config["output"]``:
     ``<base>.csv`` (the config line, ``header``, one line per row) and
     ``<base>.json`` (``summary`` with the config under ``"config"``)."""
     base = _base_path(config["output"])
-    write_csv(base + ".csv", config, header, rows)
-    write_json(base + ".json", {"config": config, **summary})
+    _write(write_csv, base + ".csv", config, header, rows)
+    _write(write_json, base + ".json", {"config": config, **summary})
 
 
 def cmd_fit(args) -> int:
@@ -175,11 +185,12 @@ def cmd_fit(args) -> int:
             payload["iterations"] = exc.trace.iterations
             payload["final_objective"] = exc.trace.final_objective
             payload["steps"] = [dataclasses.asdict(step) for step in exc.trace.steps]
-        write_json(trace_path, payload)
+        _write(write_json, trace_path, payload)
         print(f"solver failure, trace written to {trace_path}: {exc}", file=sys.stderr)
         return 3
     report = characterization_report(dataset, fit, args.tol)
-    write_json(
+    _write(
+        write_json,
         base + ".json",
         {
             "config": resolved,
@@ -203,7 +214,8 @@ def cmd_fit(args) -> int:
         },
     )
     grid = np.linspace(0.0, 1.0, 512)
-    write_csv(
+    _write(
+        write_csv,
         base + ".curve.csv",
         resolved,
         ("grid_t", "fitted_value", "left_derivative"),
@@ -228,7 +240,7 @@ def cmd_check(args) -> int:
                        for c in report.conditions},
     }
     if args.output:
-        write_json(args.output, payload)
+        _write(write_json, args.output, payload)
     else:
         print(canonical_json(payload))
     return 0 if report.passed else 1

@@ -1,11 +1,9 @@
 """Directly computable optimality diagnostics for a convex fit.
 
-Everything here evaluates finite-sample characterization objects for a
-(dataset, fit) pair: per-segment residual sums with their sign pattern, the
-gap between each affine piece and the plain least-squares line through the
-same points, and an aggregate pass/fail report.  The functions accept
-either a :class:`ConvexFit` or a raw fitted-value array, so they can also
-reject fits that were not produced by the solver.
+Everything here evaluates the finite-sample characterization of a
+(dataset, fit) pair as one aggregate pass/fail report.  It accepts either a
+:class:`ConvexFit` or a raw fitted-value array, so it can also reject fits
+that were not produced by the solver.
 
 The cumulative gap process G(x_p) = sum_{i <= p} w_i (fit_i - y_i)(x_p - x_i)
 is ``cum[p-1]`` of :func:`convexreg.solver.kkt_sums` (G(x_0) = 0), and the
@@ -13,9 +11,8 @@ report's cumulative-sum conditions are its :meth:`KktSums.violations`.
 
 Sign convention: ``cum`` is oriented as fitted-minus-observed, which makes
 it nonnegative across the design with zeros at the kinks exactly when the
-fit is optimal.  Segment residual sums keep the observed-minus-fitted
-orientation of the inequalities they certify.  All sums carry dataset
-weights so merged duplicates count with multiplicity.
+fit is optimal.  All sums carry dataset weights so merged duplicates count
+with multiplicity.
 """
 
 import numpy as np
@@ -40,70 +37,6 @@ def _fit_view(dataset: Dataset, fit_or_values):
     if isinstance(fit_or_values, ConvexFit):
         return values, tuple(fit_or_values.kinks)
     return values, kink_indices(dataset.x, values, dataset.kink_threshold)
-
-
-@dataclass(frozen=True)
-class SegmentReport:
-    """Residual sums and least-squares comparison for one affine piece.
-
-    ``t1``/``t2`` are the closed-interval residual sums (plain and
-    x-weighted); for an optimal fit both are nonpositive while the
-    open-interval versions are nonnegative and the endpoint residuals are
-    nonpositive.  ``sup_gap`` obeys ``gap_bound`` when the fit is exactly
-    affine on the piece, which bends below the kink threshold can break.
-    """
-
-    u: float
-    v: float
-    first_index: int
-    last_index: int
-    t1: float
-    t2: float
-    open_t1: float
-    open_t2: float
-    endpoint_resid_u: float
-    endpoint_resid_v: float
-    ols_intercept: float
-    ols_slope: float
-    sup_gap: float
-    gap_bound: float
-
-
-def segment_reports(dataset: Dataset, fit_or_values) -> list[SegmentReport]:
-    """One report per maximal affine piece of the fit (kink-to-kink runs,
-    boundary pieces included); every piece spans at least two design
-    points."""
-    fitted, kinks = _fit_view(dataset, fit_or_values)
-    x, y, w = dataset.x, dataset.y, dataset.weights
-    resid = y - fitted
-    boundaries = [0, *kinks, dataset.n - 1]
-    reports = []
-    for k1, k2 in zip(boundaries[:-1], boundaries[1:]):
-        sl = slice(k1, k2 + 1)
-        xw, yw, ww, rw = x[sl], y[sl], w[sl], resid[sl]
-        wt = ww.sum()
-        xbar = float(np.sum(ww * xw) / wt)
-        ybar = float(np.sum(ww * yw) / wt)
-        sxx = float(np.sum(ww * (xw - xbar) ** 2))
-        slope = float(np.sum(ww * (xw - xbar) * (yw - ybar)) / sxx)
-        intercept = ybar - slope * xbar
-        t1 = float(np.sum(ww * rw))
-        t2 = float(np.sum(ww * xw * rw))
-        inner = slice(k1 + 1, k2)
-        open_t1 = float(np.sum(w[inner] * resid[inner]))
-        open_t2 = float(np.sum(w[inner] * x[inner] * resid[inner]))
-        gaps = np.abs(intercept + slope * xw - fitted[sl])
-        bound = abs(x[k2] - x[k1]) * abs((xbar * t1 - t2) / sxx) + abs(t1) / wt
-        reports.append(
-            SegmentReport(
-                u=float(x[k1]), v=float(x[k2]), first_index=k1, last_index=k2,
-                t1=t1, t2=t2, open_t1=open_t1, open_t2=open_t2,
-                endpoint_resid_u=float(rw[0] * w[k1]), endpoint_resid_v=float(rw[-1] * w[k2]),
-                ols_intercept=intercept, ols_slope=slope,
-                sup_gap=float(gaps.max()), gap_bound=float(bound),
-            )
-        )
-    return reports
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from convexreg import (
     local_error_study,
     rate_study,
     boundary_inconsistency_study,
-    segment_reports,
     simulate_affine_invelope,
     simulate_invelope,
     ScenarioSpec,
@@ -29,7 +28,7 @@ from convexreg.cli import main
 from convexreg.output import fmt
 from convexreg.simulation import mix_seed
 
-from characterization import tent_functional
+from characterization import segment_signs, tent_functional
 from oracle import enumerate_convex_lse
 
 BASE_SEED = 20260808
@@ -79,7 +78,7 @@ def test_c2_characterization_suite():
         assert rep.passed, [c.name for c in rep.conditions if not c.passed]
         scale = ds.response_scale
         wscale = ds.total_weight * scale
-        for seg in segment_reports(ds, fit):
+        for seg in segment_signs(ds, fit):
             worst_segment = max(
                 worst_segment,
                 seg.t1 / wscale,
@@ -88,7 +87,6 @@ def test_c2_characterization_suite():
                 -seg.open_t2 / wscale,
                 seg.endpoint_resid_u / wscale,
                 seg.endpoint_resid_v / wscale,
-                (seg.sup_gap - seg.gap_bound) / scale,
             )
         kinks = fit.kinks
         for a in range(len(kinks)):

@@ -255,11 +255,12 @@ def _random_rows_text(columns):
         (("x", "y"), 'x,y\n"0.1","1.0"\n0.4,2.5\n'),
         (("x", "y"), "x,y\n0.1,1_0\n0.4,2.5\n"),
         (("x", "y"), "x,y\n0.3,-7e-310"),
+        (("x", "y"), "\ufeffx,y\n0.1,1.0\n0.4,2.5\n"),
         (("x", "y", "fitted"), "x,y,fitted\n0.1,1.0,0.9\n0.4,2.5,2.4\n0.8,-1,0.5\n"),
         (("x", "y", "fitted"), _random_rows_text(("x", "y", "fitted"))),
     ],
     ids=["random", "blank", "whitespace", "spaces", "crlf", "quoted", "underscore",
-         "single_row", "three_columns", "random_three_columns"],
+         "single_row", "byte_order_mark", "three_columns", "random_three_columns"],
 )
 def test_csv_reader_matches_line_parser(tmp_path, monkeypatch, columns, body):
     src = tmp_path / "in.csv"
@@ -368,6 +369,54 @@ def test_degenerate_design_rejected(tmp_path):
     src = tmp_path / "dup.csv"
     src.write_text("x,y\n0.5,1.0\n0.5,3.0\n")
     assert main(["fit", "--input", str(src), "--output", str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize("via", ["path", "stdin"])
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, via):
+    # a BOM-prefixed copy gives the plain file's fit and check report; a pipe
+    # is read whole and never reaches numpy by path, so it is its own case
+    env = dict(os.environ, PYTHONPATH=str(Path(convexreg.__file__).parents[1]))
+
+    def run(command, name):
+        src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        argv = [sys.executable, "-m", "convexreg.cli", command,
+                "--input", "/dev/stdin" if via == "stdin" else str(src)]
+        if command == "fit":
+            argv += ["--output", str(out)]
+        with open(src, "rb") as fh:
+            done = subprocess.run(argv, stdin=fh, env=env, capture_output=True, text=True,
+                                  timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        return json.loads(out.read_text() if command == "fit" else done.stdout)
+
+    for command, fixture in (("fit", "fit_n12.csv"), ("check", "check_near_duplicates.csv")):
+        body = (FIXTURES / fixture).read_bytes()
+        (tmp_path / "plain.csv").write_bytes(body)
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + body)
+        plain, bom = run(command, "plain"), run(command, "bom")
+        if command == "fit":
+            for key in ("x", "fitted", "kinks"):
+                assert bom[key] == plain[key], key
+        for blob in (plain, bom):
+            del blob["config"]  # names the input and output paths
+        assert bom == plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--input", str(FIXTURES / "fit_n12.csv")],
+        ["check", "--input", str(FIXTURES / "check_near_duplicates.csv")],
+        ["boundary", "--n-grid", "100,200", "--replicates", "5"],
+    ],
+    ids=["fit", "check", "boundary"],
+)
+def test_an_unwritable_output_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    assert main(argv + ["--output", str(missing / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {missing}{os.sep}out.") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -792,6 +841,20 @@ def test_every_public_name_resolves():
     assert set(convexreg.__all__) <= set(dir(convexreg))
     with pytest.raises(AttributeError, match="no_such_name"):
         convexreg.no_such_name
+
+
+def test_public_names_are_pinned():
+    # a new public name is a deliberate edit of this list
+    assert sorted(convexreg.__all__) == [
+        "ArgminResult", "BoundaryDiagnostics", "ConvexFit", "DEFAULT_RATE_GRID", "Dataset",
+        "InvelopeSample", "KINK_TOL", "KKT_TOL", "KktReport", "KktSums", "RateStudyResult",
+        "SCALE_LIMIT", "ScenarioSpec", "SolverError", "SolverTrace", "__version__",
+        "argmin_estimator", "boundary_diagnostics", "boundary_inconsistency_study",
+        "build_dataset", "characterization_report", "evaluate", "fit_convex_lse",
+        "generate_scenario", "invelope_study", "kkt_sums", "left_derivative",
+        "local_error_study", "rate_study", "scaling_constants", "simulate_affine_invelope",
+        "simulate_invelope", "true_mean",
+    ]
 
 
 def test_readme_entry_points_resolve():

@@ -9,12 +9,11 @@ from convexreg import (
     characterization_report,
     fit_convex_lse,
     kkt_sums,
-    segment_reports,
 )
 from convexreg.diagnostics import _fit_view
 from convexreg.solver import certificate_scale
 
-from characterization import tent_functional, tent_weight
+from characterization import segment_signs, tent_functional, tent_weight
 from helpers import (
     largest_accepted_scale,
     near_duplicate_dataset,
@@ -128,24 +127,42 @@ class TestTentFunctional:
             tent_functional(ds, fit, 0.7, 0.3)
 
 
+def line_gap(ds, fit, seg):
+    """The largest gap on a piece between the fit and the weighted
+    least-squares line through the piece's points, and the bound on it from
+    the piece's residual sums, which holds when the fit is exactly affine
+    there."""
+    sl = slice(seg.first_index, seg.last_index + 1)
+    x, y, w = ds.x[sl], ds.y[sl], ds.weights[sl]
+    xbar, ybar = np.sum(w * x) / w.sum(), np.sum(w * y) / w.sum()
+    sxx = np.sum(w * (x - xbar) ** 2)
+    slope = np.sum(w * (x - xbar) * (y - ybar)) / sxx
+    gap = np.abs(ybar - slope * xbar + slope * x - fit.fitted[sl]).max()
+    return gap, (seg.v - seg.u) * abs((xbar * seg.t1 - seg.t2) / sxx) + abs(seg.t1) / w.sum()
+
+
 class TestSegmentReports:
+    # the sign conditions are characterization checks; the gaps to each
+    # piece's least-squares line check the solver's fits on these designs
+    # and are no characterization condition (a piece may bend below the
+    # kink threshold, test_gap_bound_is_not_implied_by_the_report)
     def test_noiseless_affine_segment_is_exact(self):
         x = np.linspace(0.0, 1.0, 10)
         ds = Dataset(x=x, y=2.0 * x - 0.5, weights=np.ones(10))
         fit, _ = fit_convex_lse(ds)
-        reports = segment_reports(ds, fit)
+        reports = segment_signs(ds, fit)
         assert len(reports) == 1
         seg = reports[0]
         assert seg.t1 == pytest.approx(0.0, abs=1e-12)
         assert seg.t2 == pytest.approx(0.0, abs=1e-12)
-        assert seg.sup_gap == pytest.approx(0.0, abs=1e-10)
+        assert line_gap(ds, fit, seg)[0] == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sign_pattern_on_oracle_fits(self, seed):
         ds = random_dataset(seed, n_min=6, n_max=12)
         fit = oracle_fit(ds)
         tol = 1e-9 * certificate_scale(ds)
-        for seg in segment_reports(ds, fit):
+        for seg in segment_signs(ds, fit):
             assert seg.t1 <= tol
             assert seg.t2 <= tol
             assert seg.open_t1 >= -tol
@@ -157,8 +174,9 @@ class TestSegmentReports:
     def test_least_squares_gap_bound(self, seed):
         ds = noisy_convex_dataset(seed, n=300)
         fit, _ = fit_convex_lse(ds)
-        for seg in segment_reports(ds, fit):
-            assert seg.sup_gap <= seg.gap_bound + 1e-8 * ds.response_scale
+        for seg in segment_signs(ds, fit):
+            gap, bound = line_gap(ds, fit, seg)
+            assert gap <= bound + 1e-8 * ds.response_scale
 
     def test_long_segment_gap_decays_with_sample_size(self):
         # affine truth: the gap between the fit and the segment's own
@@ -173,9 +191,9 @@ class TestSegmentReports:
             for rep in range(30):
                 ds = generate_scenario(ScenarioSpec(kind="affine", n=n, seed=7000 + rep))
                 fit, _ = fit_convex_lse(ds)
-                segs = [s for s in segment_reports(ds, fit) if s.v - s.u >= 0.15]
+                segs = [s for s in segment_signs(ds, fit) if s.v - s.u >= 0.15]
                 if segs:
-                    gaps.append(max(s.sup_gap for s in segs))
+                    gaps.append(max(line_gap(ds, fit, s)[0] for s in segs))
             medians.append(float(np.median(gaps)))
         assert all(b < a for a, b in zip(medians[:-1], medians[1:]))
 
@@ -258,7 +276,7 @@ class TestReportImpliesTheCharacterizationHelpers:
         # are P_{a-1} - P_a and P_{b-1} - P_b, and by summation by parts
         # t2 = x_a P_{a-1} - x_b P_b + G(x_b) - G(x_a) and open_t2 =
         # x_a P_a - x_b P_{b-1} + G(x_b) - G(x_a), with x in [0, 1]
-        for seg in segment_reports(ds, column):
+        for seg in segment_signs(ds, column):
             a, b = seg.first_index, seg.last_index
             assert seg.t1 <= left_of(a) + right_of(b) + rho
             assert -seg.open_t1 <= right_of(a) + left_of(b) + rho
@@ -278,10 +296,10 @@ class TestReportImpliesTheCharacterizationHelpers:
         report = characterization_report(ds, fit)
         assert report.passed and max(c.worst for c in report.conditions) == 0.0
         assert fit.kinks == ()
-        (seg,) = segment_reports(ds, fit)
-        assert seg.gap_bound == 0.0
-        assert (seg.sup_gap - seg.gap_bound) / ds.response_scale > 6e-6
-
+        (seg,) = segment_signs(ds, fit)
+        gap, bound = line_gap(ds, fit, seg)
+        assert bound == 0.0
+        assert (gap - bound) / ds.response_scale > 6e-6
 
 class TestCharacterizationReport:
     def test_passes_on_solver_output(self):
@@ -342,7 +360,7 @@ class TestCharacterizationReport:
             [(c.name, c.passed) for c in from_fit.conditions]
         kinks = ConvexFit.from_values(ds, fit.fitted).kinks
         assert kinks == fit.kinks
-        assert [seg.first_index for seg in segment_reports(ds, fit.fitted)] == [0, *kinks]
+        assert [seg.first_index for seg in segment_signs(ds, fit.fitted)] == [0, *kinks]
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_tolerance(self, tol):
