@@ -4,21 +4,24 @@ Subcommands: ``fit`` (fit a CSV of x,y and emit the certified fit),
 ``check`` (verify a supplied fit column against every characterization
 condition), ``rates`` (log-bias rate study), ``invelope`` (limit-process
 simulator), ``argmin`` (minimizer scaling study), ``boundary`` (boundary
-overshoot frequencies).
+overshoot frequencies).  An omitted study flag takes its study function's
+default; the parser declares none.
 
 Exit codes: 0 success and certified / all checks passed, 1 check command
-completed with failing conditions, 2 malformed input or flags (an output
-file that cannot be written included), 3 solver or
-runtime failure (``fit`` writes a trace file next to the requested output on
-a solver failure) or a study's replicate worker that died without a result.
-Every output embeds the resolved configuration including the seed; reruns
-with the same flags are byte-identical.  The environment variable
-``CONVEXREG_THREADS`` caps the worker processes of every study's replicates.
+completed with failing conditions, 2 malformed input or flags (an output file
+that cannot be written included, found before any work where its directory is
+missing), 3 solver or runtime failure (``fit`` writes a trace file next to the
+requested output on a solver failure) or a study's replicate worker that died
+without a result.  Every output embeds the resolved configuration including
+the seed; reruns with the same flags are byte-identical.  The environment
+variable ``CONVEXREG_THREADS`` caps the worker processes of every study's
+replicates.
 """
 
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import lzma
 import math
@@ -113,7 +116,7 @@ def _parse_grid(text):
     try:
         return tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
-        raise InputError(f"bad --n-grid {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from exc
 
 
 def _finite_float(text):
@@ -125,14 +128,20 @@ def _finite_float(text):
     return value
 
 
-def _run_study(study, args, unread=(), **parsed):
-    """Run ``study`` on its subcommand's flags but ``--output`` and the
-    ``unread`` ones, ``parsed`` replacing a flag's raw text; return the result
-    and the artifact config: the command, exactly the keyword arguments the
-    study ran with, the output."""
-    skip = ("command", "run", "output", *unread)
-    params = {k: v for k, v in vars(args).items() if k not in skip}
-    params.update(parsed)
+def _run_study(study, args):
+    """Run ``study`` on the given flags and its own defaults; return the result
+    and the artifact config: the command, the keyword arguments the study ran
+    with (invelope's only the ones its variant reads), the output."""
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "run", "output")}
+    bound = inspect.signature(study).bind(**given)
+    bound.apply_defaults()
+    params = bound.arguments
+    if args.command == "invelope":
+        if params["refine"] and params["replicates"] < 2:
+            raise InputError("--refine needs at least 2 replicates")
+        unread = ("r", "c") if params["scenario"] == "affine" else ("x0",)
+        for name in unread if params["refine"] else (*unread, "refine"):
+            del params[name]
     return study(**params), {"command": args.command, **params, "output": args.output}
 
 
@@ -247,14 +256,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    from .simulation import DEFAULT_RATE_GRID, rate_study
+    from .simulation import rate_study
 
-    grid = DEFAULT_RATE_GRID if args.n_grid is None else _parse_grid(args.n_grid)
-    result, resolved = _run_study(rate_study, args, n_grid=grid)
+    result, config = _run_study(rate_study, args)
     _write_study(
-        resolved,
+        config,
         ("scenario", "r", "n", "replicate", "seed", "bias", "log_n", "log_abs_bias"),
-        [(args.scenario, args.r, rec.n, rec.replicate, rec.seed,
+        [(config["scenario"], config["r"], rec.n, rec.replicate, rec.seed,
           rec.bias, rec.log_n, rec.log_abs_bias) for rec in result.records],
         {"slope": result.slope, "stderr": result.slope_stderr,
          "skipped": result.skipped, "records": len(result.records)},
@@ -267,15 +275,9 @@ def cmd_rates(args) -> int:
 def cmd_invelope(args) -> int:
     from .simulation import invelope_study
 
-    if args.refine and args.replicates < 2:
-        raise InputError("--refine needs at least 2 replicates")
-    # each variant runs on, and records, only the flags it reads; refine only when set
-    unread = ("r", "c") if args.scenario == "affine" else ("x0",)
-    if not args.refine:
-        unread += ("refine",)
-    results, resolved = _run_study(invelope_study, args, unread=unread)
+    results, config = _run_study(invelope_study, args)
     h2_all = np.asarray([s.h2_at_0 for _, _, s in results])
-    h2 = h2_all[: args.replicates]
+    h2 = h2_all[: config["replicates"]]
     summary = {
         "h2_mean": float(h2.mean()),
         "h2_var": float(h2.var(ddof=1)) if h2.size > 1 else 0.0,
@@ -284,13 +286,13 @@ def cmd_invelope(args) -> int:
     }
     lines = [f"h2 mean {summary['h2_mean']:.6f} var {summary['h2_var']:.6f} "
              f"({h2.size} replicates)"]
-    if args.refine:
-        summary["refinement"] = _refinement(args.m, h2, h2_all[args.replicates:], lines)
+    if config.get("refine"):
+        summary["refinement"] = _refinement(config["m"], h2, h2_all[h2.size:], lines)
     _write_study(
-        resolved,
+        config,
         ("scenario", "r", "c", "m", "replicate", "seed", "h2", "h3",
          "argmin", "query_point", "min_envelope_gap", "kink_envelope_gap"),
-        [(args.scenario, s.r, s.c, s.m, rep, child, s.h2_at_0, s.h3_at_0,
+        [(config["scenario"], s.r, s.c, s.m, rep, child, s.h2_at_0, s.h3_at_0,
           s.argmin_h2, s.query_point, s.min_envelope_gap, s.kink_envelope_gap)
          for rep, child, s in results],
         summary,
@@ -326,8 +328,8 @@ def _refinement(m, coarse, fine, lines):
 def cmd_argmin(args) -> int:
     from .simulation import local_error_study
 
-    study, resolved = _run_study(local_error_study, args, n_grid=_parse_grid(args.n_grid))
-    rate = 1.0 / (2 * args.r + 1)
+    study, config = _run_study(local_error_study, args)
+    rate = 1.0 / (2 * config["r"] + 1)
     table = {}
     for n, errs in study.by_n("argmin_err").items():
         scaled = n ** rate * errs
@@ -337,10 +339,10 @@ def cmd_argmin(args) -> int:
             "p95_scaled": float(np.quantile(scaled, 0.95)),
         }
     _write_study(
-        resolved,
+        config,
         ("r", "n", "replicate", "seed", "argmin_location", "argmin_err",
          "scaled_argmin_err", "value_err", "deriv_err"),
-        [(args.r, rec.n, rec.replicate, rec.seed, rec.argmin_location,
+        [(config["r"], rec.n, rec.replicate, rec.seed, rec.argmin_location,
           rec.argmin_err, rec.n ** rate * rec.argmin_err, rec.value_err, rec.deriv_err)
          for rec in study.records],
         {"quantiles": table},
@@ -354,12 +356,12 @@ def cmd_argmin(args) -> int:
 def cmd_boundary(args) -> int:
     from .simulation import boundary_inconsistency_study
 
-    grid = _parse_grid(args.n_grid)
-    study, resolved = _run_study(boundary_inconsistency_study, args, n_grid=grid)
-    _write_study(resolved, ("n", "count", "replicates", "frequency"),
+    study, config = _run_study(boundary_inconsistency_study, args)
+    grid = config["n_grid"]
+    _write_study(config, ("n", "count", "replicates", "frequency"),
                  [(n, study.counts[n], study.replicates, study.frequencies[n]) for n in grid],
                  {"counts": study.counts, "frequencies": study.frequencies})
-    print(f"model 1 - x + x^2, sigma 1, threshold (1 + {args.epsilon}) * value at 0")
+    print(f"model 1 - x + x^2, sigma 1, threshold (1 + {config['epsilon']}) * value at 0")
     for n in grid:
         print(f"n={n:6d}: overshoot frequency {study.frequencies[n]:.3f} "
               f"({study.counts[n]}/{study.replicates})")
@@ -385,47 +387,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=KKT_TOL)
     p.set_defaults(run=cmd_check)
 
-    p = sub.add_parser("rates", help="log-bias rate-of-convergence study")
-    p.add_argument("--scenario", required=True, choices=("vanishing", "affine"))
-    p.add_argument("--r", type=int, default=4)
-    p.add_argument("--n-grid", default=None, help="comma-separated sizes (default: 10 sizes, "
-                   "500 to 10000, geometric)")
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=_finite_float, default=1.0)
-    p.add_argument("--x0", type=_finite_float, default=0.5)
-    p.add_argument("--output", required=True, help="base path for .csv and .json")
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int)
+    common.add_argument("--replicates", type=int)
+    common.add_argument("--output", required=True, help="base path for .csv and .json")
+    study = {"parents": [common], "argument_default": argparse.SUPPRESS}
+
+    p = sub.add_parser("rates", help="log-bias rate-of-convergence study", **study)
     p.set_defaults(run=cmd_rates)
+    p.add_argument("--scenario", required=True, choices=("vanishing", "affine"))
+    p.add_argument("--r", type=int)
+    p.add_argument("--n-grid", type=_parse_grid, help="comma-separated sizes")
+    p.add_argument("--sigma", type=_finite_float)
+    p.add_argument("--x0", type=_finite_float)
 
-    p = sub.add_parser("invelope", help="limit-process simulator")
-    p.add_argument("--scenario", choices=("vanishing", "affine"), default="vanishing")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--c", type=_finite_float, default=4.0)
-    p.add_argument("--m", type=int, default=2000)
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--x0", type=_finite_float, default=0.5,
-                   help="query point for the affine variant")
-    p.add_argument("--refine", action="store_true", help="also run the 2m grid, same seeds")
-    p.add_argument("--output", required=True, help="base path for .csv and .json")
+    p = sub.add_parser("invelope", help="limit-process simulator", **study)
     p.set_defaults(run=cmd_invelope)
+    p.add_argument("--scenario", choices=("vanishing", "affine"))
+    p.add_argument("--r", type=int)
+    p.add_argument("--c", type=_finite_float)
+    p.add_argument("--m", type=int)
+    p.add_argument("--x0", type=_finite_float, help="query point for the affine variant")
+    p.add_argument("--refine", action="store_true", help="also run the 2m grid, same seeds")
 
-    p = sub.add_parser("argmin", help="minimizer scaling study")
-    p.add_argument("--r", type=int, default=2)
-    p.add_argument("--n-grid", default="1000,4000,16000")
-    p.add_argument("--replicates", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=_finite_float, default=1.0)
-    p.add_argument("--output", required=True, help="base path for .csv and .json")
+    p = sub.add_parser("argmin", help="minimizer scaling study", **study)
     p.set_defaults(run=cmd_argmin)
+    p.add_argument("--r", type=int)
+    p.add_argument("--n-grid", type=_parse_grid, help="comma-separated sizes")
+    p.add_argument("--sigma", type=_finite_float)
 
-    p = sub.add_parser("boundary", help="boundary overshoot frequency study")
-    p.add_argument("--n-grid", default="500,2000,8000")
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--epsilon", type=_finite_float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", required=True, help="base path for .csv and .json")
+    p = sub.add_parser("boundary", help="boundary overshoot frequency study", **study)
     p.set_defaults(run=cmd_boundary)
+    p.add_argument("--n-grid", type=_parse_grid, help="comma-separated sizes")
+    p.add_argument("--epsilon", type=_finite_float)
 
     return parser
 
@@ -434,6 +428,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output is not None:  # every command has one; checked before any work
+            folder = os.path.dirname(args.output) or "."
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+                raise InputError(f"{args.output}: directory {folder} is missing or not writable")
         return args.run(args)
     except ValueError as exc:  # InputError included
         print(f"input error: {exc}", file=sys.stderr)

@@ -26,9 +26,9 @@ replicate), ...)``, the study's own parameters following, and
 :func:`_run_tasks`, runs them: serially by default, or on
 ``CONVEXREG_THREADS`` forked worker processes, each taking one strided share
 of the tasks.  Results are put back in task order, so the worker count never
-changes the output.  A study function's parameters are the flags of
-its CLI subcommand, and the command records them as the artifact's
-configuration.
+changes the output.  A study function's parameters and defaults are the
+flags and defaults of its CLI subcommand, and the command records the
+arguments the study ran with as the artifact's configuration.
 """
 
 import math
@@ -442,8 +442,9 @@ def _invelope_task(args):
     return replicate, seed, simulate_invelope(r, c, m, seed)
 
 
-def invelope_study(scenario: str, m: int, replicates: int, seed: int = 0, r: int = 2,
-                   c: float = 4.0, x0: float = 0.5, refine: bool = False):
+def invelope_study(scenario: str = "vanishing", m: int = 2000, replicates: int = 100,
+                   seed: int = 0, r: int = 2, c: float = 4.0, x0: float = 0.5,
+                   refine: bool = False):
     """``(replicate, seed, sample)`` per replicate of the drift ("vanishing")
     or zero-drift ("affine") simulator on the m-point grid, with seed
     ``mix_seed(seed, m, replicate)``; ``refine`` appends the same seeds drawn
@@ -496,8 +497,8 @@ def _local_error_task(args):
     )
 
 
-def local_error_study(r: int, n_grid, replicates: int, seed: int = 0,
-                      sigma: float = 1.0) -> LocalErrorStudy:
+def local_error_study(r: int = 2, n_grid=(1000, 4000, 16000), replicates: int = 100,
+                      seed: int = 0, sigma: float = 1.0) -> LocalErrorStudy:
     """Per-replicate value, derivative and argmin errors at 1/2, the minimum
     of the flat-bottomed scenario."""
     records = _run_tasks(_local_error_task, _replicate_tasks(n_grid, replicates, seed, r, sigma))
@@ -528,8 +529,8 @@ def _boundary_task(args):
     return n, bool(value0 > (1.0 + epsilon) * 1.0)
 
 
-def boundary_inconsistency_study(n_grid, replicates: int, seed: int = 0,
-                                 epsilon: float = 0.05) -> BoundaryStudyResult:
+def boundary_inconsistency_study(n_grid=(500, 2000, 8000), replicates: int = 200,
+                                 seed: int = 0, epsilon: float = 0.05) -> BoundaryStudyResult:
     """Frequency of the extrapolated boundary value overshooting the true
     boundary mean by a factor 1 + epsilon, per sample size.
 

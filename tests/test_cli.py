@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -422,6 +423,36 @@ def test_an_unwritable_output_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "20"],
+        ["argmin", "--n-grid", "80,160", "--replicates", "2"],
+        ["boundary", "--n-grid", "100,200", "--replicates", "2"],
+        ["invelope", "--m", "200", "--replicates", "2"],
+        ["fit", "--input", str(FIXTURES / "fit_n12.csv")],
+        ["check", "--input", str(FIXTURES / "check_near_duplicates.csv")],
+    ],
+    ids=["rates", "argmin", "boundary", "invelope", "fit", "check"],
+)
+def test_a_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                            argv):
+    import convexreg.simulation as simulation
+
+    def never(*args, **kwargs):
+        raise AssertionError("input read or fit run")
+
+    monkeypatch.setattr(simulation, "fit_convex_lse", never)
+    monkeypatch.setattr(cli, "fit_convex_lse", never)
+    monkeypatch.setattr(cli, "_read_csv_columns", never)
+    missing = tmp_path / "missing"
+    assert main(argv + ["--output", str(missing / "base")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert str(missing) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "20",
          "--seed", "9"],
         ["invelope", "--m", "250", "--replicates", "3", "--seed", "4"],
@@ -681,41 +712,105 @@ def test_study_parameters_are_the_command_flags():
         assert set(inspect.signature(study).parameters) == dests, command
 
 
-def test_study_flag_defaults_are_the_study_defaults(tmp_path, monkeypatch):
-    # every default is written twice, in the parser and in the study's
-    # signature; the two must agree wherever the study has one
+# every study default, pinned; the study's signature is the only place one is written
+STUDY_DEFAULTS = {
+    "rates": {"r": 4, "n_grid": (500, 697, 973, 1357, 1893, 2641, 3684, 5139, 7169, 10000),
+              "replicates": 100, "seed": 0, "sigma": 1.0, "x0": 0.5},
+    "invelope": {"scenario": "vanishing", "m": 2000, "replicates": 100, "seed": 0, "r": 2,
+                 "c": 4.0, "x0": 0.5, "refine": False},
+    "argmin": {"r": 2, "n_grid": (1000, 4000, 16000), "replicates": 100, "seed": 0,
+               "sigma": 1.0},
+    "boundary": {"n_grid": (500, 2000, 8000), "replicates": 200, "seed": 0, "epsilon": 0.05},
+}
+
+
+def _stub_task(fn, task):
+    """A result of the shape each study's replicate task returns, without a fit."""
     import convexreg.simulation as simulation
 
-    studies = {"rates": simulation.rate_study, "argmin": simulation.local_error_study,
-               "boundary": simulation.boundary_inconsistency_study,
-               "invelope": simulation.invelope_study}
-    required = {"rates": ["--scenario", "affine"]}
-    parser = cli.build_parser()
-    compared = 0
-    for command, study in studies.items():
-        args = vars(parser.parse_args([command, *required.get(command, []), "--output", "o"]))
-        for name, param in inspect.signature(study).parameters.items():
-            if param.default is inspect.Parameter.empty:
-                continue
-            compared += 1
-            if (command, name) == ("rates", "n_grid"):
-                assert args[name] is None  # resolved by the command, checked below
-                continue
-            assert args[name] == param.default and type(args[name]) is type(param.default), \
-                (command, name)
-    assert compared == 15
+    n, rep, seed = task[:3]
+    if fn is simulation._rate_task:
+        return n, rep, seed, 1.0 / n
+    if fn is simulation._local_error_task:
+        return simulation.LocalErrorRecord(n, rep, seed, 0.0, 0.0, 0.5, 0.0)
+    if fn is simulation._boundary_task:
+        return n, False
+    r, c = task[4:6]
+    return rep, seed, simulation.InvelopeSample(r, c, n, float(rep), 0.0, 0.0, (-c, c),
+                                                0.0, 0.0, 0.0)
 
-    ran_with = {}
 
-    def record(**params):
-        ran_with.update(params)
-        return simulation.RateStudyResult(records=(), slope=0.0, slope_stderr=0.0, skipped=0)
+def _studies():
+    import convexreg.simulation as simulation
 
-    monkeypatch.setattr(simulation, "rate_study", record)
+    return {"rates": simulation.rate_study, "argmin": simulation.local_error_study,
+            "boundary": simulation.boundary_inconsistency_study,
+            "invelope": simulation.invelope_study}
+
+
+def test_study_flag_defaults_are_the_study_defaults():
+    # the parser declares no default of its own, so an omitted flag can only
+    # take the study's; the study defaults themselves are pinned
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if action.dest == "command")
+    for command, study in _studies().items():
+        defaults = {name: param.default
+                    for name, param in inspect.signature(study).parameters.items()
+                    if param.default is not inspect.Parameter.empty}
+        pinned = STUDY_DEFAULTS[command]
+        assert defaults == pinned, command
+        assert ({k: type(v) for k, v in defaults.items()}
+                == {k: type(v) for k, v in pinned.items()}), command
+        assert ({action.default for action in subparsers[command]._actions}
+                == {argparse.SUPPRESS}), command
+    assert sum(map(len, STUDY_DEFAULTS.values())) == 23
+
+
+def test_rates_default_grid_is_the_study_default(tmp_path, monkeypatch):
+    import convexreg.simulation as simulation
+
+    ran = []
+    monkeypatch.setattr(simulation, "_run_tasks",
+                        lambda fn, tasks: ran.extend(tasks) or [_stub_task(fn, t) for t in tasks])
     assert main(["rates", "--scenario", "affine", "--output", str(tmp_path / "r")]) == 0
-    assert ran_with["n_grid"] == simulation.DEFAULT_RATE_GRID
-    assert (inspect.signature(studies["rates"]).parameters["n_grid"].default
-            == simulation.DEFAULT_RATE_GRID)
+    assert sorted({task[0] for task in ran}) == list(simulation.DEFAULT_RATE_GRID)
+    config = json.loads((tmp_path / "r.json").read_text())["config"]
+    assert config["n_grid"] == list(simulation.DEFAULT_RATE_GRID)
+
+
+@pytest.mark.parametrize(
+    "command, required, unread",
+    [
+        ("rates", {"scenario": "affine"}, ()),
+        ("invelope", {}, ("x0", "refine")),
+        ("argmin", {}, ()),
+        ("boundary", {}, ()),
+    ],
+    ids=["rates", "invelope", "argmin", "boundary"],
+)
+def test_omitted_study_flags_take_the_study_defaults(tmp_path, monkeypatch, command, required,
+                                                     unread):
+    # the command passes each omitted flag on as the study's default and
+    # records exactly what the study ran with; the defaults are pinned
+    import convexreg.simulation as simulation
+
+    study = _studies()[command]
+    pinned = STUDY_DEFAULTS[command]
+    ran = []
+    monkeypatch.setattr(simulation, "_run_tasks",
+                        lambda fn, tasks: ran.extend(tasks) or [_stub_task(fn, t) for t in tasks])
+    out = str(tmp_path / "artifact")
+    flags = [arg for k, v in required.items() for arg in (f"--{k}", v)]
+    assert main([command, *flags, "--output", out]) == 0
+    bound = inspect.signature(study).bind(**required)
+    bound.apply_defaults()
+    expected = {"command": command, "output": out,
+                **{k: v for k, v in bound.arguments.items() if k not in unread}}
+    config = json.loads((tmp_path / "artifact.json").read_text())["config"]
+    assert config == json.loads(json.dumps(expected))
+    sizes = pinned.get("n_grid", (pinned.get("m"),))
+    assert len(ran) == len(sizes) * pinned["replicates"]
+    assert sorted({task[0] for task in ran}) == list(sizes)
 
 
 @pytest.mark.parametrize(
@@ -871,18 +966,3 @@ def test_readme_entry_points_resolve():
         for part in name.split("."):
             assert hasattr(value, part), name
             value = getattr(value, part)
-
-
-def test_rates_default_grid_is_the_study_default(tmp_path, monkeypatch, capsys):
-    import convexreg.simulation as simulation
-
-    seen = {}
-
-    def stop(scenario, n_grid, **kwargs):
-        seen["n_grid"] = n_grid
-        raise ValueError("stopped before the study")
-
-    monkeypatch.setattr(simulation, "rate_study", stop)
-    assert main(["rates", "--scenario", "affine", "--output", str(tmp_path / "r")]) == 2
-    assert seen["n_grid"] == simulation.DEFAULT_RATE_GRID
-    assert "stopped before the study" in capsys.readouterr().err
