@@ -31,8 +31,8 @@ from .solver import certificate_scale, kkt_sums
 
 
 def _fit_view(dataset: Dataset, fit_or_values):
-    """Fitted values plus kink indices; a raw array gets the kinks that
-    :meth:`ConvexFit.from_values` would report for it."""
+    """Fitted values plus kink indices; a raw array gets its
+    :func:`kink_indices` at :attr:`Dataset.kink_threshold`."""
     values = fitted_values(dataset, fit_or_values)
     if isinstance(fit_or_values, ConvexFit):
         return values, tuple(fit_or_values.kinks)
@@ -54,12 +54,6 @@ class KktReport:
     passed: bool
     scale: float
 
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def characterization_report(dataset: Dataset, fit_or_values,
                             kkt_tol: float = KKT_TOL) -> KktReport:
@@ -75,8 +69,8 @@ def characterization_report(dataset: Dataset, fit_or_values,
 
     The residual sums are implied (``sum w (y - f) = -total_gap``, ``sum w x
     (y - f) = cum[-1] - x[n-1] total_gap``); orthogonality is not, since a
-    raw array, whose kinks are those of :meth:`ConvexFit.from_values`, may
-    bend below the kink threshold.
+    raw array, whose kinks are its :func:`kink_indices` at
+    :attr:`Dataset.kink_threshold`, may bend below that threshold.
     """
     check_kkt_tol(kkt_tol)
     fitted, kinks = _fit_view(dataset, fit_or_values)

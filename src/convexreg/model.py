@@ -170,29 +170,6 @@ def segment_slopes(x, values):
     return np.diff(np.asarray(values, dtype=float)) / np.diff(np.asarray(x, dtype=float))
 
 
-def piecewise_values(x, values, t):
-    """Linear interpolation on [x_1, x_n], linear continuation outside."""
-    t = np.asarray(t, dtype=float)
-    out = np.interp(t, x, values)
-    s = segment_slopes(x, values)
-    left = t < x[0]
-    right = t > x[-1]
-    if np.any(left):
-        out = np.where(left, values[0] + s[0] * (t - x[0]), out)
-    if np.any(right):
-        out = np.where(right, values[-1] + s[-1] * (t - x[-1]), out)
-    return out
-
-
-def piecewise_left_slopes(x, values, t):
-    """Slope of the segment immediately left of t (first slope for t <= x_1)."""
-    t = np.asarray(t, dtype=float)
-    s = segment_slopes(x, values)
-    idx = np.searchsorted(x, t, side="left") - 1
-    idx = np.clip(idx, 0, s.size - 1)
-    return s[idx]
-
-
 def slope_increments(x, values):
     """Slope increments at the interior design points and their float floor
     ``4 eps (1 + max|v|) (1/g_left + 1/g_right)``, the roundoff of the two
@@ -237,7 +214,7 @@ class ConvexFit:
     [1, n - 2]) whose slope increase exceeds the kink threshold;
     ``hinge_coeffs`` keeps every strictly positive slope increment, at
     indices of the same kind, so that the hinge form reproduces ``fitted``
-    exactly (sub-threshold increments stay in the representation but are
+    up to roundoff (sub-threshold increments stay in the representation but are
     not reported as kinks).  Every value, fitted or hinge, must be finite.
     """
 
@@ -264,38 +241,6 @@ class ConvexFit:
     @property
     def n(self) -> int:
         return int(self.fitted.size)
-
-    @classmethod
-    def from_values(cls, dataset: Dataset, values) -> "ConvexFit":
-        """Derive the hinge representation from fitted values at the design.
-
-        Every slope increment above the local float-resolution floor becomes
-        a hinge, so the telescoped reconstruction is exact up to that floor;
-        increments above the kink threshold are additionally reported as
-        kinks.  Raises if the values are not convex over the design.
-        """
-        values = fitted_values(dataset, values)
-        kink_abs = dataset.kink_threshold
-        if cone_violation(dataset.x, values) > kink_abs:
-            raise ValueError("values are not convex over the design")
-        x = dataset.x
-        s = segment_slopes(x, values)
-        hinges = [(j, float(s[j] - s[j - 1])) for j in kink_indices(x, values, 0.0)]
-        return cls(
-            fitted=values,
-            kinks=kink_indices(x, values, kink_abs),
-            intercept=float(values[0] - s[0] * x[0]),
-            base_slope=float(s[0]),
-            hinge_coeffs=tuple(hinges),
-        )
-
-    def hinge_values(self, dataset: Dataset, t):
-        """Evaluate the hinge form (not the interpolant) at t."""
-        t = np.asarray(t, dtype=float)
-        out = self.intercept + self.base_slope * t
-        for j, b in self.hinge_coeffs:
-            out = out + b * np.maximum(t - dataset.x[j], 0.0)
-        return out
 
 
 def fitted_values(dataset: Dataset, fit_or_values) -> np.ndarray:
@@ -324,7 +269,15 @@ def evaluate(fit: ConvexFit, dataset: Dataset, t):
     linear continuation of the boundary segments outside."""
     fitted = fitted_values(dataset, fit)
     t = _check_domain(t)
-    out = piecewise_values(dataset.x, fitted, t)
+    x = dataset.x
+    out = np.interp(t, x, fitted)
+    s = segment_slopes(x, fitted)
+    left = t < x[0]
+    right = t > x[-1]
+    if np.any(left):
+        out = np.where(left, fitted[0] + s[0] * (t - x[0]), out)
+    if np.any(right):
+        out = np.where(right, fitted[-1] + s[-1] * (t - x[-1]), out)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -333,6 +286,7 @@ def left_derivative(fit: ConvexFit, dataset: Dataset, t):
     t <= x_1 and the last segment slope for t > x_n.  Nondecreasing in t."""
     fitted = fitted_values(dataset, fit)
     t = _check_domain(t)
-    out = piecewise_left_slopes(dataset.x, fitted, t)
-    return float(out) if np.ndim(t) == 0 else out
+    s = segment_slopes(dataset.x, fitted)
+    idx = np.clip(np.searchsorted(dataset.x, t, side="left") - 1, 0, s.size - 1)
+    return float(s[idx]) if np.ndim(t) == 0 else s[idx]
 

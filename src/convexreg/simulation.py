@@ -319,6 +319,8 @@ def rate_study(scenario: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
     grid = _study_grid(n_grid)
     if len(grid) < 2 or replicates < 20:
         raise ValueError(f"need 2+ sizes and 20+ replicates, got n_grid {grid}, {replicates}")
+    if not 0.0 <= x0 <= 1.0:
+        raise ValueError(f"x0 must lie in [0, 1], got {x0}")
     tasks = _replicate_tasks(grid, replicates, seed, scenario, r, sigma, x0)
     # the last task has the largest size
     probe = ScenarioSpec(kind=scenario, n=tasks[-1][0], seed=0, r=r, sigma=sigma)
@@ -538,6 +540,8 @@ def boundary_inconsistency_study(n_grid=(500, 2000, 8000), replicates: int = 200
     strictly decreasing at 0 with value 1, so a consistent estimator would
     drive the frequency to zero; the convex fit keeps it bounded away.
     """
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     tasks = _replicate_tasks(n_grid, replicates, seed, epsilon)
     counts: dict[int, int] = {}
     for n, hit in _run_tasks(_boundary_task, tasks):

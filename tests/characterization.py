@@ -75,8 +75,8 @@ class SegmentSigns:
 
 def segment_signs(dataset: Dataset, fit_or_values) -> list[SegmentSigns]:
     """One record per maximal affine piece of the fit (kink-to-kink runs,
-    boundary pieces included); a raw array gets the kinks of
-    :meth:`ConvexFit.from_values`."""
+    boundary pieces included); a raw array gets its ``kink_indices`` at the
+    dataset's kink threshold."""
     fitted, kinks = _fit_view(dataset, fit_or_values)
     x, w = dataset.x, dataset.weights
     resid = dataset.y - fitted

@@ -2,7 +2,46 @@
 
 import numpy as np
 
-from convexreg import Dataset
+from convexreg import ConvexFit, Dataset
+from convexreg.model import cone_violation, fitted_values, kink_indices, segment_slopes
+
+
+def fit_from_values(dataset, values):
+    """The :class:`ConvexFit` of convex values at the design.
+
+    Every slope increment above the local float-resolution floor becomes a
+    hinge, so the telescoped hinge form reproduces the values up to that
+    floor; increments above the kink threshold are also the kinks.  Raises if
+    the values are not convex over the design.
+    """
+    values = fitted_values(dataset, values)
+    kink_abs = dataset.kink_threshold
+    if cone_violation(dataset.x, values) > kink_abs:
+        raise ValueError("values are not convex over the design")
+    x = dataset.x
+    s = segment_slopes(x, values)
+    hinges = [(j, float(s[j] - s[j - 1])) for j in kink_indices(x, values, 0.0)]
+    return ConvexFit(
+        fitted=values,
+        kinks=kink_indices(x, values, kink_abs),
+        intercept=float(values[0] - s[0] * x[0]),
+        base_slope=float(s[0]),
+        hinge_coeffs=tuple(hinges),
+    )
+
+
+def hinge_values(fit, dataset, t):
+    """The fit's hinge form (not the interpolant) at t."""
+    t = np.asarray(t, dtype=float)
+    out = fit.intercept + fit.base_slope * t
+    for j, b in fit.hinge_coeffs:
+        out = out + b * np.maximum(t - dataset.x[j], 0.0)
+    return out
+
+
+def condition(report, name):
+    """The condition of a :class:`KktReport` called ``name``."""
+    return {c.name: c for c in report.conditions}[name]
 
 
 def random_dataset(seed, n=None, n_min=3, n_max=12, noise=1.0, weighted=False):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import inspect
 import json
 import os
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -637,34 +639,41 @@ def test_boundary_command_matches_study(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["invelope", "--m", "250", "--replicates", "0"],
-        ["invelope", "--m", "250", "--replicates", "-3"],
-        ["invelope", "--refine", "--m", "250", "--replicates", "1"],
-        ["argmin", "--n-grid", "80,160", "--replicates", "0"],
-        ["boundary", "--n-grid", "100,200", "--replicates", "0"],
-        ["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "0"],
-        ["rates", "--scenario", "affine", "--n-grid", "100,100", "--replicates", "20"],
-        ["argmin", "--n-grid", "100,100", "--replicates", "2"],
-        ["boundary", "--n-grid", "200,100", "--replicates", "2"],
-        ["rates", "--scenario", "vanishing", "--n-grid", "5000", "--replicates", "40"],
+        (["invelope", "--m", "250", "--replicates", "0"], "replicate"),
+        (["invelope", "--m", "250", "--replicates", "-3"], "replicate"),
+        (["invelope", "--refine", "--m", "250", "--replicates", "1"], "replicates"),
+        (["argmin", "--n-grid", "80,160", "--replicates", "0"], "replicate"),
+        (["boundary", "--n-grid", "100,200", "--replicates", "0"], "replicate"),
+        (["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "0"],
+         "replicates"),
+        (["rates", "--scenario", "affine", "--n-grid", "100,100", "--replicates", "20"],
+         "n_grid"),
+        (["argmin", "--n-grid", "100,100", "--replicates", "2"], "n_grid"),
+        (["boundary", "--n-grid", "200,100", "--replicates", "2"], "n_grid"),
+        (["rates", "--scenario", "vanishing", "--n-grid", "5000", "--replicates", "40"],
+         "n_grid"),
+        (["rates", "--scenario", "vanishing", "--x0", "2", "--replicates", "20"], "x0"),
+        (["boundary", "--n-grid", "100,200", "--replicates", "3", "--epsilon", "-5"],
+         "epsilon"),
     ],
     ids=["invelope_zero", "invelope_negative", "refine_one", "argmin_zero", "boundary_zero",
          "rates_zero", "rates_duplicate_n", "argmin_duplicate_n", "boundary_decreasing_n",
-         "rates_one_size"],
+         "rates_one_size", "rates_x0_outside", "boundary_negative_epsilon"],
 )
-def test_bad_study_flags_exit_2_before_writing(tmp_path, monkeypatch, capsys, argv):
+def test_bad_study_flags_exit_2_before_writing(tmp_path, monkeypatch, capsys, argv, named):
     import convexreg.simulation as simulation
 
     def fail(dataset):
         raise AssertionError("a replicate ran")
 
-    # no replicate runs either
+    # no replicate runs either, and the message names the bad flag's parameter
     monkeypatch.setattr(simulation, "fit_convex_lse", fail)
     assert main(argv + ["--output", str(tmp_path / "artifact")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
+    assert named in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -950,6 +959,47 @@ def test_public_names_are_pinned():
         "local_error_study", "rate_study", "scaling_constants", "simulate_affine_invelope",
         "simulate_invelope", "true_mean",
     ]
+
+
+def _named(node):
+    """Every name, attribute and ``_EXPORTS`` string at or under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in sub.targets):
+            yield from (c.value for c in ast.walk(sub.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+
+
+def _definitions(body, prefix=""):
+    """(label, node) of each function and class in ``body`` and each method
+    of those classes, dunders (protocol hooks) aside."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")):
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef) and not prefix:
+                yield from _definitions(node.body, f"{node.name}.")
+
+
+def test_every_src_definition_is_referenced_from_src():
+    # each module-level function and class and each non-dunder method of the
+    # package is named somewhere in src outside its own definition (an
+    # _EXPORTS entry counts): what only tests call belongs in tests/
+    package = Path(convexreg.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    references = Counter(name for tree in trees.values() for name in _named(tree))
+    unreferenced = [
+        f"{module}:{label}"
+        for module, tree in trees.items()
+        for label, node in _definitions(tree.body)
+        if references[node.name] <= Counter(_named(node))[node.name]
+    ]
+    assert unreferenced == []
 
 
 def test_readme_entry_points_resolve():

@@ -15,6 +15,8 @@ from convexreg.solver import certificate_scale
 
 from characterization import segment_signs, tent_functional, tent_weight
 from helpers import (
+    condition,
+    fit_from_values,
     largest_accepted_scale,
     near_duplicate_dataset,
     near_duplicate_design,
@@ -28,7 +30,7 @@ from oracle import enumerate_convex_lse
 
 def oracle_fit(dataset):
     fitted, _ = enumerate_convex_lse(dataset)
-    return ConvexFit.from_values(dataset, fitted)
+    return fit_from_values(dataset, fitted)
 
 
 def interpolating_instance(n=12):
@@ -236,7 +238,7 @@ class TestReportImpliesTheCharacterizationHelpers:
     @staticmethod
     def check_column(ds, column, rng):
         report = characterization_report(ds, column)
-        delta = max(report.condition(name).worst for name in (
+        delta = max(condition(report, name).worst for name in (
             "cumulative_sums_nonnegative", "cumulative_sums_zero_at_kinks",
             "total_mass_match"))
         fitted, kinks = _fit_view(ds, column)
@@ -317,7 +319,7 @@ class TestCharacterizationReport:
         running_mean = np.cumsum(y) / np.arange(1, 31)
         report = characterization_report(ds, running_mean)
         assert not report.passed
-        assert not report.condition("cumulative_sums_zero_at_kinks").passed
+        assert not condition(report, "cumulative_sums_zero_at_kinks").passed
 
     def test_affine_shift_leaves_residual_checks_unchanged(self):
         ds = noisy_convex_dataset(13, n=150)
@@ -328,7 +330,7 @@ class TestCharacterizationReport:
         shifted_report = characterization_report(shifted_ds, shifted_values)
         assert shifted_report.passed == report.passed
         for cond in report.conditions:
-            assert shifted_report.condition(cond.name).passed == cond.passed
+            assert condition(shifted_report, cond.name).passed == cond.passed
         raw = kkt_sums(ds, fit)
         shifted_raw = kkt_sums(shifted_ds, shifted_values)
         assert np.allclose(raw.cum, shifted_raw.cum, atol=1e-10)
@@ -349,7 +351,7 @@ class TestCharacterizationReport:
     @pytest.mark.parametrize("seed", range(3))
     def test_raw_values_get_the_fit_verdicts_on_near_duplicates(self, seed):
         # near-duplicate abscissae put slope rounding far above kink_tol; a
-        # raw array must still bend only where ConvexFit.from_values would
+        # raw array must still bend only where fit_from_values would
         ds = Dataset.from_arrays(*near_duplicate_design(seed))
         fit, _ = fit_convex_lse(ds)
         assert np.diff(ds.x).min() < 1e-9
@@ -358,7 +360,7 @@ class TestCharacterizationReport:
         assert raw.passed
         assert [(c.name, c.passed) for c in raw.conditions] == \
             [(c.name, c.passed) for c in from_fit.conditions]
-        kinks = ConvexFit.from_values(ds, fit.fitted).kinks
+        kinks = fit_from_values(ds, fit.fitted).kinks
         assert kinks == fit.kinks
         assert [seg.first_index for seg in segment_signs(ds, fit.fitted)] == [0, *kinks]
 
@@ -392,7 +394,7 @@ class TestCharacterizationReport:
         values = {"huge": 1e160 * ds.y, "nan": np.where(ds.x < 0.5, ds.y, np.nan),
                   "inf": np.where(ds.x < 0.5, ds.y, np.inf)}[column]
         message = "must not exceed" if column == "huge" else "non-finite fitted values"
-        for check in (characterization_report, kkt_sums, ConvexFit.from_values):
+        for check in (characterization_report, kkt_sums, fit_from_values):
             with pytest.raises(ValueError, match=message):
                 check(ds, values)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from convexreg import (
-    ConvexFit,
     Dataset,
     ScenarioSpec,
     argmin_estimator,
@@ -16,7 +15,7 @@ from convexreg import (
     scaling_constants,
 )
 
-from helpers import noisy_convex_dataset
+from helpers import fit_from_values, noisy_convex_dataset
 
 # frozen with 60-digit decimal arithmetic: 15 ** (1/9)
 FIFTEEN_NINTH_ROOT = 1.35106675160177083134619815405
@@ -25,14 +24,14 @@ FIFTEEN_NINTH_ROOT = 1.35106675160177083134619815405
 def vee():
     ds = Dataset(x=np.array([0.25, 0.5, 0.75]), y=np.array([1.0, 0.0, 1.0]),
                  weights=np.ones(3))
-    return ConvexFit.from_values(ds, ds.y), ds
+    return fit_from_values(ds, ds.y), ds
 
 
 class TestArgmin:
     def test_increasing_fit_takes_first_point(self):
         x = np.linspace(0.1, 0.9, 7)
         ds = Dataset(x=x, y=2.0 * x, weights=np.ones(7))
-        fit = ConvexFit.from_values(ds, ds.y)
+        fit = fit_from_values(ds, ds.y)
         result = argmin_estimator(fit, ds)
         assert result.location == pytest.approx(0.1)
         assert result.tie_count == 1
@@ -40,7 +39,7 @@ class TestArgmin:
     def test_tie_resolves_to_smaller_point(self):
         ds = Dataset(x=np.array([0.1, 0.4, 0.6, 0.9]),
                      y=np.array([1.0, 0.0, 0.0, 1.0]), weights=np.ones(4))
-        fit = ConvexFit.from_values(ds, ds.y)
+        fit = fit_from_values(ds, ds.y)
         result = argmin_estimator(fit, ds)
         assert result.location == pytest.approx(0.4)
         assert result.value == pytest.approx(0.0)
@@ -59,7 +58,7 @@ class TestBoundary:
     def test_line(self):
         x = np.linspace(0.2, 0.8, 5)
         ds = Dataset(x=x, y=x.copy(), weights=np.ones(5))
-        fit = ConvexFit.from_values(ds, ds.y)
+        fit = fit_from_values(ds, ds.y)
         b = boundary_diagnostics(fit, ds)
         assert (b.value_at_0, b.deriv_at_0) == (pytest.approx(0.0), pytest.approx(1.0))
         assert (b.value_at_1, b.deriv_at_1) == (pytest.approx(1.0), pytest.approx(1.0))
@@ -174,7 +173,7 @@ class TestLocalEstimates:
     def test_line_values(self):
         x = np.linspace(0.0, 1.0, 9)
         ds = Dataset(x=x, y=x.copy(), weights=np.ones(9))
-        fit = ConvexFit.from_values(ds, ds.y)
+        fit = fit_from_values(ds, ds.y)
         assert evaluate(fit, ds, 0.5) == pytest.approx(0.5, abs=1e-13)
         assert left_derivative(fit, ds, 0.5) == pytest.approx(1.0, abs=1e-13)
 

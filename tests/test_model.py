@@ -13,19 +13,26 @@ from convexreg import (
 )
 from convexreg.model import SCALE_LIMIT, cone_violation
 
-from helpers import largest_accepted_scale, random_convex_values, random_dataset, scaled_design
+from helpers import (
+    fit_from_values,
+    hinge_values,
+    largest_accepted_scale,
+    random_convex_values,
+    random_dataset,
+    scaled_design,
+)
 
 
 def line_fit(x_points, slope=1.0, intercept=0.0):
     x = np.asarray(x_points, dtype=float)
     ds = Dataset(x=x, y=intercept + slope * x, weights=np.ones(x.size))
-    return ConvexFit.from_values(ds, ds.y), ds
+    return fit_from_values(ds, ds.y), ds
 
 
 def vee_fit():
     ds = Dataset(x=np.array([0.25, 0.5, 0.75]), y=np.array([1.0, 0.0, 1.0]),
                  weights=np.ones(3))
-    return ConvexFit.from_values(ds, ds.y), ds
+    return fit_from_values(ds, ds.y), ds
 
 
 class TestBuildDataset:
@@ -184,7 +191,7 @@ class TestEvaluate:
         rng = np.random.default_rng(seed)
         ds = random_dataset(seed, n=12)
         values = random_convex_values(ds.x, seed)
-        fit = ConvexFit.from_values(ds, values)
+        fit = fit_from_values(ds, values)
         i = int(rng.integers(0, ds.n - 1))
         lam = rng.uniform(0.1, 0.9)
         t = ds.x[i] + lam * (ds.x[i + 1] - ds.x[i])
@@ -210,7 +217,7 @@ class TestEvaluate:
     def test_convex_in_t(self, seed):
         rng = np.random.default_rng(seed)
         ds = random_dataset(seed, n=10)
-        fit = ConvexFit.from_values(ds, random_convex_values(ds.x, seed))
+        fit = fit_from_values(ds, random_convex_values(ds.x, seed))
         t1, t2 = np.sort(rng.uniform(0.0, 1.0, size=2))
         lam = rng.uniform(0.0, 1.0)
         mid = lam * t1 + (1 - lam) * t2
@@ -233,7 +240,7 @@ class TestLeftDerivative:
     def test_nondecreasing_in_t(self, seed):
         ds = random_dataset(seed, n=11)
         values = random_convex_values(ds.x, seed)
-        fit = ConvexFit.from_values(ds, values)
+        fit = fit_from_values(ds, values)
         grid = np.linspace(0.0, 1.0, 101)[1:]
         slopes = left_derivative(fit, ds, grid)
         # slope roundoff amplifies by 1/gap, same allowance as the cone check
@@ -243,7 +250,7 @@ class TestLeftDerivative:
 
 
 def assert_hinge_form_reproduces_fitted(fit, ds):
-    recon = fit.hinge_values(ds, ds.x)
+    recon = hinge_values(fit, ds, ds.x)
     assert np.max(np.abs(recon - fit.fitted)) <= 1e-10 * (1.0 + np.max(np.abs(fit.fitted)))
 
 
@@ -268,15 +275,15 @@ class TestHingeRepresentation:
     def test_reconstruction_round_trip(self, seed):
         ds = random_dataset(seed, n=10)
         values = random_convex_values(ds.x, seed)
-        fit = ConvexFit.from_values(ds, values)
-        recon = fit.hinge_values(ds, ds.x)
+        fit = fit_from_values(ds, values)
+        recon = hinge_values(fit, ds, ds.x)
         scale = 1.0 + np.max(np.abs(values))
         assert np.max(np.abs(recon - values)) <= 1e-10 * scale
 
     def test_rejects_nonconvex_values(self):
         ds = Dataset(x=np.array([0.0, 0.5, 1.0]), y=np.zeros(3), weights=np.ones(3))
         with pytest.raises(ValueError, match="convex"):
-            ConvexFit.from_values(ds, np.array([0.0, 1.0, 0.0]))
+            fit_from_values(ds, np.array([0.0, 1.0, 0.0]))
 
     @pytest.mark.parametrize("kinks", [(0,), (5,), (2, 2), (4, 2), (0, 9), (2.0,)])
     def test_rejects_kinks_outside_the_interior_or_out_of_order(self, kinks):

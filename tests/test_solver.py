@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from corpus import (
     tiny_first_gap_dataset,
 )
 from helpers import (
+    hinge_values,
     lexsort_batch,
     near_duplicate_dataset,
     near_duplicate_design,
@@ -332,11 +334,21 @@ def test_corpus_matches_the_recorded_fits(family):
     # objective; unit-weight fits keep their recorded kinks.  Weighted fits
     # are compared by objective only: a point of weight 1e-8 barely moves
     # it, so its fitted value is loose at an equal objective.  No family
-    # may take more solves than it did before the batch drop
+    # may take more solves than it did before the batch drop.  The hinge form
+    # that `fit` writes reproduces the fitted values within the roundoff of
+    # its own sum: (k + 2) eps times the terms' absolute sum and |fitted|.
+    # A tiny first gap makes intercept and base slope huge, so a fixed
+    # relative tolerance would fail there (3.7e-6 on tiny_first_gap)
     solves = []
     for name, build in CORPUS[family].items():
         ds = build()
         fit, trace = fit_convex_lse(ds)
+        # the hinge terms are nonnegative: their own sum is their absolute sum
+        magnitude = (abs(fit.intercept) + np.abs(fit.base_slope * ds.x)
+                     + hinge_values(replace(fit, intercept=0.0, base_slope=0.0), ds, ds.x))
+        bound = (len(fit.hinge_coeffs) + 2) * np.finfo(float).eps * (
+            magnitude + np.abs(fit.fitted))
+        assert np.all(np.abs(hinge_values(fit, ds, ds.x) - fit.fitted) <= bound), name
         recorded = RECORDED[family][name]
         assert trace.final_objective == pytest.approx(recorded["objective"], rel=1e-12,
                                                       abs=1e-300)
