@@ -1,8 +1,8 @@
 """Data generators and Monte Carlo harnesses.
 
-Scenario generators draw uniform designs with Gaussian noise around either a
+Scenario generators draw uniform designs with Gaussian noise around a
 flat-bottomed polynomial mean (vanishing derivatives of orders 2..r-1 at the
-center) or an affine mean, both times the constant ``AMPLITUDE``.  The rate
+center) or an affine mean, both times ``AMPLITUDE``, or 1 - t + t^2.  The rate
 study pools log absolute bias at a query point against log sample size and
 reports the fitted slope.  The invelope simulators fit the convex estimator
 to canonical drifted-noise data on a uniform grid, which approximates the
@@ -14,16 +14,18 @@ Randomness is counter-based (Philox) and keyed by entropy tuples so every
 draw is reproducible bit-for-bit and replicates can run in any order or in
 parallel without changing results:
 
-    (1, kind_code, r, n, seed)   scenario draws (x first, then noise)
+    (1, kind_code, r, n, seed)   "vanishing" (0) and "affine" (1) draws, x then noise
     (2, base_seed, n, replicate) per-replicate seed mixing inside studies
     (3, r, m, seed)              canonical invelope noise
     (4, m, seed)                 zero-drift invelope noise
-    (5, n, seed)                 boundary-study draws
+    (5, n, seed)                 "boundary" draws, x then noise
 
 Every study's replicate is one task ``(n, replicate, mix_seed(seed, n,
 replicate), ...)``, the study's own parameters following, and
-:func:`_replicate_tasks` builds them all, sizes outermost.  One helper,
-:func:`_run_tasks`, runs them: serially by default, or on
+:func:`_replicate_tasks` builds them all, sizes outermost.  A study first
+runs the checks its tasks would (``ScenarioSpec``'s at the smallest size, or
+:func:`_check_invelope`), so a bad parameter fails before any task does.
+One helper, :func:`_run_tasks`, runs them: serially by default, or on
 ``CONVEXREG_THREADS`` forked worker processes, each taking one strided share
 of the tasks.  Results are put back in task order, so the worker count never
 changes the output.  A study function's parameters and defaults are the
@@ -49,7 +51,7 @@ _STREAM_INVELOPE = 3
 _STREAM_FLAT_INVELOPE = 4
 _STREAM_BOUNDARY = 5
 
-_KIND_CODES = {"vanishing": 0, "affine": 1}
+_KINDS = ("vanishing", "affine", "boundary")  # index = kind_code of stream 1
 
 AMPLITUDE = 2.0  # scale of every scenario mean
 
@@ -180,10 +182,10 @@ def _run_share(fn, share, write_fd, inherited):
 class ScenarioSpec:
     """One synthetic regression scenario.
 
-    ``kind`` is "vanishing" (mean AMPLITUDE*(x-1/2)^r with even r >= 2) or
-    "affine" (mean AMPLITUDE*(x-1/2)); the amplitude is a constant.  Noise is
-    i.i.d. normal with finite standard deviation ``sigma``; the design is
-    i.i.d. uniform on [0, 1].
+    ``kind`` is "vanishing" (mean AMPLITUDE*(x-1/2)^r, even r >= 2), "affine"
+    (mean AMPLITUDE*(x-1/2)) or "boundary" (mean 1 - x + x^2, value 1 at 0
+    and decreasing there; r unread).  Noise is i.i.d. normal with finite
+    standard deviation ``sigma``; the design is i.i.d. uniform on [0, 1].
     """
 
     kind: str
@@ -193,14 +195,14 @@ class ScenarioSpec:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
-            raise ValueError(f"kind must be one of {sorted(_KIND_CODES)}")
+        if self.kind not in _KINDS:
+            raise ValueError(f"kind must be one of {sorted(_KINDS)}")
         if self.kind == "vanishing" and (self.r < 2 or self.r % 2 != 0):
-            raise ValueError("r must be an even integer >= 2")
+            raise ValueError(f"r must be an even integer >= 2, got {self.r}")
         if self.n < 10:
-            raise ValueError("n must be at least 10")
+            raise ValueError(f"n must be at least 10, got {self.n}")
         if not 0.0 <= self.sigma < math.inf:
-            raise ValueError("sigma must be nonnegative and finite")
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -209,8 +211,10 @@ def true_mean(spec: ScenarioSpec, t):
     t = np.asarray(t, dtype=float)
     if spec.kind == "vanishing":
         out = AMPLITUDE * _int_power(t - 0.5, spec.r)
-    else:
+    elif spec.kind == "affine":
         out = AMPLITUDE * (t - 0.5)
+    else:
+        out = 1.0 - t + t * t
     return float(out) if out.ndim == 0 else out
 
 
@@ -234,7 +238,9 @@ def generate_scenario(spec: ScenarioSpec) -> Dataset:
     sigma only rescales the noise, so runs with the same (kind, r, n, seed)
     share the same underlying design and noise.
     """
-    rng = rng_from_key(_STREAM_SCENARIO, _KIND_CODES[spec.kind], spec.r, spec.n, spec.seed)
+    head = ((_STREAM_BOUNDARY,) if spec.kind == "boundary"
+            else (_STREAM_SCENARIO, _KINDS.index(spec.kind), spec.r))
+    rng = rng_from_key(*head, spec.n, spec.seed)
     x = rng.random(spec.n)
     eps = rng.standard_normal(spec.n)
     y = true_mean(spec, x) + spec.sigma * eps
@@ -295,6 +301,17 @@ def _study_grid(n_grid) -> list[int]:
     return grid
 
 
+def _probe_spec(kind, n_grid, **params):
+    """The seed-0 spec at the smallest size of the checked study grid.  Only
+    the floor on n depends on the size, so this raises, before any task
+    runs, for every spec the study's tasks would reject."""
+    n = _study_grid(n_grid)[0]
+    try:
+        return ScenarioSpec(kind, n, 0, **params)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (at n_grid size {n})") from None
+
+
 def _replicate_tasks(n_grid, replicates, seed, *params):
     """``(n, replicate, mix_seed(seed, n, replicate), *params)`` for every
     replicate at every size of the checked grid, sizes outermost."""
@@ -321,9 +338,8 @@ def rate_study(scenario: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
         raise ValueError(f"need 2+ sizes and 20+ replicates, got n_grid {grid}, {replicates}")
     if not 0.0 <= x0 <= 1.0:
         raise ValueError(f"x0 must lie in [0, 1], got {x0}")
+    probe = _probe_spec(scenario, grid, r=r, sigma=sigma)
     tasks = _replicate_tasks(grid, replicates, seed, scenario, r, sigma, x0)
-    # the last task has the largest size
-    probe = ScenarioSpec(kind=scenario, n=tasks[-1][0], seed=0, r=r, sigma=sigma)
     zero_floor = 1e-12 * (1.0 + abs(true_mean(probe, x0)))
     rows = _run_tasks(_rate_task, tasks)
     records = []
@@ -399,6 +415,31 @@ def _run_invelope(t, responses, delta, query, r, c):
     )
 
 
+def _check_invelope(scenario, m, r, c, x0):
+    """Reject the parameters of an invelope grid that cannot be drawn; the
+    "affine" variant reads the query point x0, the drift variant r and c."""
+    if m < 200:
+        raise ValueError(f"m must be at least 200 grid points, got {m}")
+    if scenario == "affine":
+        if not 0.0 < x0 < 1.0:
+            raise ValueError(f"query point x0 must be interior to (0, 1), got {x0}")
+    elif r < 2 or r % 2 != 0:
+        raise ValueError(f"r must be an even integer >= 2, got {r}")
+    elif c <= 0.0:
+        raise ValueError(f"c must be strictly positive, got {c}")
+
+
+def _invelope_grid(m, lo, width, key, query, r, c):
+    """Fit the m midpoints of [lo, lo + width]: noise from stream ``key``
+    over sqrt(delta), plus the drift (r+2)(r+1) t^r when r > 0."""
+    delta = width / m
+    t = lo + (np.arange(m) + 0.5) * delta
+    responses = rng_from_key(*key).standard_normal(m) / math.sqrt(delta)
+    if r:
+        responses = (r + 2) * (r + 1) * t ** r + responses
+    return _run_invelope(t, responses, delta, query, r, c)
+
+
 def simulate_invelope(r: int, c: float = 4.0, m: int = 2000, seed: int = 0) -> InvelopeSample:
     """Simulate the canonical drifted-noise problem on a uniform grid over
     [-c, c] and fit the convex estimator.
@@ -410,31 +451,15 @@ def simulate_invelope(r: int, c: float = 4.0, m: int = 2000, seed: int = 0) -> I
     fitted values approximate the second derivative of the invelope of that
     integrated process, the left slope its third derivative.
     """
-    if r < 2 or r % 2 != 0:
-        raise ValueError("r must be an even integer >= 2")
-    if c <= 0.0:
-        raise ValueError("c must be strictly positive")
-    if m < 200:
-        raise ValueError("need m >= 200 grid points")
-    delta = 2.0 * c / m
-    t = -c + (np.arange(m) + 0.5) * delta
-    eta = rng_from_key(_STREAM_INVELOPE, r, m, seed).standard_normal(m)
-    responses = (r + 2) * (r + 1) * t ** r + eta / math.sqrt(delta)
-    return _run_invelope(t, responses, delta, query=0.0, r=r, c=float(c))
+    _check_invelope("vanishing", m, r, c, 0.0)
+    return _invelope_grid(m, -c, 2.0 * c, (_STREAM_INVELOPE, r, m, seed), 0.0, r, float(c))
 
 
 def simulate_affine_invelope(m: int = 2000, seed: int = 0, query: float = 0.5) -> InvelopeSample:
     """Zero-drift variant on [0, 1]: responses are pure scaled noise and the
     fitted values approximate the invelope second derivative at ``query``."""
-    if m < 200:
-        raise ValueError("need m >= 200 grid points")
-    if not (0.0 < query < 1.0):
-        raise ValueError("query must be interior to (0, 1)")
-    delta = 1.0 / m
-    t = (np.arange(m) + 0.5) * delta
-    eta = rng_from_key(_STREAM_FLAT_INVELOPE, m, seed).standard_normal(m)
-    responses = eta / math.sqrt(delta)
-    return _run_invelope(t, responses, delta, query=query, r=0, c=0.5)
+    _check_invelope("affine", m, 0, 0.5, query)
+    return _invelope_grid(m, 0.0, 1.0, (_STREAM_FLAT_INVELOPE, m, seed), query, 0, 0.5)
 
 
 def _invelope_task(args):
@@ -451,6 +476,7 @@ def invelope_study(scenario: str = "vanishing", m: int = 2000, replicates: int =
     or zero-drift ("affine") simulator on the m-point grid, with seed
     ``mix_seed(seed, m, replicate)``; ``refine`` appends the same seeds drawn
     on the 2m-point grid."""
+    _check_invelope(scenario, m, r, c, x0)
     tasks = _replicate_tasks([m], replicates, seed, scenario, r, c, x0)
     if refine:
         tasks += [(2 * n, *rest) for n, *rest in tasks]
@@ -503,6 +529,7 @@ def local_error_study(r: int = 2, n_grid=(1000, 4000, 16000), replicates: int = 
                       seed: int = 0, sigma: float = 1.0) -> LocalErrorStudy:
     """Per-replicate value, derivative and argmin errors at 1/2, the minimum
     of the flat-bottomed scenario."""
+    _probe_spec("vanishing", n_grid, r=r, sigma=sigma)
     records = _run_tasks(_local_error_task, _replicate_tasks(n_grid, replicates, seed, r, sigma))
     return LocalErrorStudy(r=r, records=tuple(records))
 
@@ -515,20 +542,13 @@ class BoundaryStudyResult:
     replicates: int
 
 
-def _boundary_mean(t):
-    # convex, decreasing at 0, value 1 there
-    return 1.0 - t + t * t
-
-
 def _boundary_task(args):
     n, _, seed, epsilon = args
-    rng = rng_from_key(_STREAM_BOUNDARY, n, seed)
-    x = rng.random(n)
-    y = _boundary_mean(x) + rng.standard_normal(n)
-    dataset = Dataset.from_arrays(x, y)
+    spec = ScenarioSpec("boundary", n, seed)
+    dataset = generate_scenario(spec)
     fit, _ = fit_convex_lse(dataset)
     value0 = boundary_diagnostics(fit, dataset).value_at_0
-    return n, bool(value0 > (1.0 + epsilon) * 1.0)
+    return n, bool(value0 > (1.0 + epsilon) * true_mean(spec, 0.0))
 
 
 def boundary_inconsistency_study(n_grid=(500, 2000, 8000), replicates: int = 200,
@@ -536,12 +556,13 @@ def boundary_inconsistency_study(n_grid=(500, 2000, 8000), replicates: int = 200
     """Frequency of the extrapolated boundary value overshooting the true
     boundary mean by a factor 1 + epsilon, per sample size.
 
-    The study model is 1 - t + t^2 plus standard normal noise: convex,
-    strictly decreasing at 0 with value 1, so a consistent estimator would
-    drive the frequency to zero; the convex fit keeps it bounded away.
+    The study draws the "boundary" scenario with unit noise: its mean is
+    strictly decreasing at 0, so a consistent estimator would drive the
+    frequency to zero; the convex fit keeps it bounded away.
     """
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    _probe_spec("boundary", n_grid)
     tasks = _replicate_tasks(n_grid, replicates, seed, epsilon)
     counts: dict[int, int] = {}
     for n, hit in _run_tasks(_boundary_task, tasks):

@@ -1,5 +1,7 @@
 """Shared instance builders for the test suite."""
 
+import math
+
 import numpy as np
 
 from convexreg import ConvexFit, Dataset
@@ -166,3 +168,31 @@ def largest_accepted_scale():
     while z.size * (1.0 + np.max(np.abs(scale * z))) ** 2 > SCALE_LIMIT:
         scale = np.nextafter(scale, 0.0)
     return float(scale)
+
+
+def philox(*key):
+    """The generator of the simulation stream ``key``, built without the package."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def boundary_draw(n, seed):
+    """The boundary study's dataset: x = U(0, 1)^n, then y = 1 - x + x*x plus
+    standard normal noise, both from stream (5, n, seed)."""
+    rng = philox(5, n, seed)
+    x = rng.random(n)
+    y = 1.0 - x + x * x + rng.standard_normal(n)
+    return Dataset.from_arrays(x, y)
+
+
+def invelope_grid(variant, m, seed, r=2, c=4.0):
+    """``(t, responses, delta)`` of an invelope grid: the m midpoints of
+    [-c, c] with drift plus noise from stream (3, r, m, seed) for "drift",
+    of [0, 1] with noise from stream (4, m, seed) alone for "affine"."""
+    if variant == "drift":
+        delta = 2.0 * c / m
+        t = -c + (np.arange(m) + 0.5) * delta
+        eta = philox(3, r, m, seed).standard_normal(m)
+        return t, (r + 2) * (r + 1) * t ** r + eta / math.sqrt(delta), delta
+    delta = 1.0 / m
+    t = (np.arange(m) + 0.5) * delta
+    return t, philox(4, m, seed).standard_normal(m) / math.sqrt(delta), delta

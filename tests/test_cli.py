@@ -678,6 +678,40 @@ def test_bad_study_flags_exit_2_before_writing(tmp_path, monkeypatch, capsys, ar
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["invelope", "--scenario", "affine", "--x0", "2"], "x0"),
+        (["invelope", "--c", "-1"], "c"),
+        (["invelope", "--m", "100", "--refine"], "m"),
+        (["argmin", "--sigma", "-1"], "sigma"),
+        (["argmin", "--r", "3"], "r"),
+        (["argmin", "--n-grid", "3,5"], "n_grid"),
+        (["boundary", "--n-grid", "1,2"], "n_grid"),
+        (["rates", "--scenario", "vanishing", "--n-grid", "5,10"], "n_grid"),
+        # the boundary study draws a scenario, so it shares the floor n >= 10
+        (["boundary", "--n-grid", "5,8"], "n_grid"),
+    ],
+    ids=["invelope_x0_outside", "invelope_negative_c", "invelope_small_m",
+         "argmin_negative_sigma", "argmin_odd_r", "argmin_small_n", "boundary_tiny_n",
+         "rates_small_n_below_largest", "boundary_small_n"],
+)
+def test_bad_study_flags_exit_2_before_any_task(tmp_path, monkeypatch, capsys, argv, named):
+    # the study checks every spec its tasks would build before it hands them
+    # to the pool, with the same checks, and the message names the parameter
+    import convexreg.simulation as simulation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(simulation, "_run_tasks", never)
+    assert main(argv + ["--replicates", "20", "--output", str(tmp_path / "artifact")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert re.search(rf"\b{named}\b", err), err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["rates", "--scenario", "affine", "--x0", "nan"], "--x0"),

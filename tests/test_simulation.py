@@ -30,9 +30,9 @@ from convexreg.simulation import (
     _int_power,
     _run_tasks,
     mix_seed,
-    rng_from_key,
 )
 from convexreg.solver import certificate_scale
+from helpers import boundary_draw, invelope_grid
 
 
 class TestGenerateScenario:
@@ -64,6 +64,18 @@ class TestGenerateScenario:
         assert AMPLITUDE == 2.0
         assert true_mean(spec, 0.5) == 0.0
         assert true_mean(spec, 1.0) == pytest.approx(0.5)
+        # the boundary study's threshold is (1 + epsilon) times this value
+        assert true_mean(ScenarioSpec("boundary", 10, 0), 0.0) == 1.0
+
+    @pytest.mark.parametrize("n, seed", [(10, 0), (137, 5), (2000, 20260808),
+                                         (500, mix_seed(20260808, 500, 3))])
+    def test_boundary_kind_is_the_stream_5_draw(self, n, seed):
+        # x first, then the noise, from (5, n, seed); r is not part of the key
+        ref = boundary_draw(n, seed)
+        for r in (2, 4):
+            ds = generate_scenario(ScenarioSpec("boundary", n, seed, r=r))
+            for field in ("x", "y", "weights"):
+                assert getattr(ds, field).tobytes() == getattr(ref, field).tobytes(), field
 
     @pytest.mark.parametrize("r", range(2, 9))
     def test_integer_power_matches_pow(self, r):
@@ -205,17 +217,10 @@ class TestInvelope:
         # [0, 1] this is the certificate process times 2c * delta
         seed, m = 3, 400
         if variant == "drift":
-            r, c = 2, 4.0
-            sample = simulate_invelope(r, c, m, seed)
-            delta = 2 * c / m
-            t = -c + (np.arange(m) + 0.5) * delta
-            eta = rng_from_key(3, r, m, seed).standard_normal(m)
-            responses = (r + 2) * (r + 1) * t**r + eta / np.sqrt(delta)
+            sample = simulate_invelope(2, 4.0, m, seed)
         else:
             sample = simulate_affine_invelope(m, seed)
-            delta = 1.0 / m
-            t = (np.arange(m) + 0.5) * delta
-            responses = rng_from_key(4, m, seed).standard_normal(m) / np.sqrt(delta)
+        t, responses, delta = invelope_grid(variant, m, seed)
         lo, hi = sample.domain
         ds = Dataset.from_arrays((t - lo) / (hi - lo), responses)
         fit, trace = fit_convex_lse(ds)
@@ -243,6 +248,30 @@ class TestInvelope:
             sa = simulate_affine_invelope(500, seed)
             assert sa.min_envelope_gap >= -1e-8
             assert sa.kink_envelope_gap <= 1e-8
+
+    @pytest.mark.parametrize(
+        "variant, m, seed, r, c, query",
+        [("drift", 200, 3, 2, 4.0, 0.0), ("drift", 401, 7, 4, 3, 0.0),
+         ("drift", 250, mix_seed(8, 250, 5), 6, 1.5, 0.0),
+         ("affine", 200, 3, 0, 0.5, 0.5), ("affine", 333, 11, 0, 0.5, 0.25)],
+    )
+    def test_grids_are_the_stream_3_and_4_draws(self, monkeypatch, variant, m, seed, r, c,
+                                                query):
+        # the grid, responses and step handed to the fit, byte for byte
+        import convexreg.simulation as simulation
+
+        monkeypatch.setattr(simulation, "_run_invelope",
+                            lambda t, responses, delta, query, r, c:
+                            (t, responses, delta, query, r, c))
+        if variant == "drift":
+            got = simulate_invelope(r, c, m, seed)
+            t, responses, delta = invelope_grid(variant, m, seed, r, c)
+        else:
+            got = simulate_affine_invelope(m, seed, query)
+            t, responses, delta = invelope_grid(variant, m, seed)
+        assert got[0].tobytes() == t.tobytes()
+        assert got[1].tobytes() == responses.tobytes()
+        assert got[2:] == (delta, query, r, c) and type(got[-1]) is float
 
     def test_affine_sample_reports_query_point(self):
         s = simulate_affine_invelope(400, 2, query=0.25)
