@@ -3,7 +3,9 @@
 Datasets keep the design sorted, with exact duplicate abscissae merged into
 weighted points (weight = multiplicity, response = weighted mean); merging
 keeps every divided-difference denominator nonzero while the weighted
-problem has the same optimum as the original one.
+problem has the same optimum as the original one.  ``Dataset(...)`` is the
+one checked constructor: ``Dataset.from_arrays`` and ``build_dataset`` sort
+and merge raw pairs, then build through it.
 
 Fits are piecewise linear: values at the design points plus the equivalent
 hinge form
@@ -107,43 +109,22 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, x, y) -> "Dataset":
-        """Sort (x, y) pairs and merge duplicate x into weighted mean points."""
+        """Sort (x, y) pairs and merge duplicate x into weighted mean points;
+        the result is built by ``Dataset(...)``, which checks it."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
             raise ValueError("x and y must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("non-finite values in input points")
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
-            raise ValueError("design points must lie in [0, 1]")
         order = x.argsort()
         xs = x[order]
         if xs.size >= 2 and np.logical_and.reduce(xs[1:] > xs[:-1]):
             # distinct abscissae: what the merge below returns, without the
             # grouping (bincount sums each lone y onto 0.0 and divides by 1)
-            ys = y[order]
-            ys += 0.0
-            return cls._owning(xs, ys, np.ones(xs.size))
+            return cls(xs, y[order] + 0.0, np.ones(xs.size))
         xs, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-        if xs.size < 2:
-            raise ValueError("need at least 2 distinct design points")
-        ys = np.bincount(inverse, weights=y) / counts
-        if not np.all(np.isfinite(ys)):  # a mean of huge duplicates can overflow
-            raise ValueError("non-finite values in dataset")
-        return cls._owning(xs, ys, counts.astype(float))
-
-    @classmethod
-    def _owning(cls, x, y, weights) -> "Dataset":
-        """A dataset that takes over three new float64 arrays, which the
-        caller has built sorted, strictly increasing, within [0, 1], finite
-        and with positive weights: ``__post_init__``'s copies and checks are
-        skipped but the scale limit, and the arrays are only made read-only."""
-        _check_scale(weights, y, "y")
-        dataset = object.__new__(cls)
-        for name, values in (("x", x), ("y", y), ("weights", weights)):
-            values.setflags(write=False)
-            object.__setattr__(dataset, name, values)
-        return dataset
+        return cls(xs, np.bincount(inverse, weights=y) / counts, counts)
 
 
 def build_dataset(points) -> Dataset:

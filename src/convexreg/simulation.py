@@ -417,7 +417,9 @@ def _run_invelope(t, responses, delta, query, r, c):
 
 def _check_invelope(scenario, m, r, c, x0):
     """Reject the parameters of an invelope grid that cannot be drawn; the
-    "affine" variant reads the query point x0, the drift variant r and c."""
+    "affine" variant reads the query point x0, the "vanishing" one r and c."""
+    if scenario not in ("vanishing", "affine"):
+        raise ValueError(f"scenario must be 'vanishing' or 'affine', got {scenario!r}")
     if m < 200:
         raise ValueError(f"m must be at least 200 grid points, got {m}")
     if scenario == "affine":

@@ -1,5 +1,6 @@
 import contextlib
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -513,3 +514,16 @@ def test_refine_repeats_the_m_seeds_on_the_doubled_grid(monkeypatch):
     assert seen == coarse + [(400, *task[1:]) for task in coarse]
     assert [(rep, seed, s.m) for rep, seed, s in samples] == [
         (rep, seed, m) for m, rep, seed, *_ in seen]
+
+
+@pytest.mark.parametrize("scenario", ["cubic", "boundary", ""])
+def test_invelope_study_rejects_an_unknown_scenario_before_any_task(monkeypatch, scenario):
+    # the drift simulator would otherwise run on any name but "affine"
+    import convexreg.simulation as simulation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(simulation, "_run_tasks", never)
+    with pytest.raises(ValueError, match=rf"^scenario .*{re.escape(repr(scenario))}$"):
+        invelope_study(scenario, 200, 2)

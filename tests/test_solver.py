@@ -418,6 +418,33 @@ def test_weighted_merge_matches_weighted_oracle():
     assert np.max(np.abs(fit.fitted - oracle_fitted)) < 1e-8
 
 
+def _assert_doubled_rows_fit_alike(seed, n, noise):
+    # every row twice, the copy reversed: the merge gives each point weight
+    # 2, which scales every moment, certificate sum and the total weight by
+    # an exact power of two, so neither the fit nor its path moves a bit
+    rng = np.random.default_rng(seed)
+    x = rng.random(n)
+    y = random_convex_values(x, seed) + noise * rng.standard_normal(n)
+    single = Dataset.from_arrays(x, y)
+    doubled = Dataset.from_arrays(np.concatenate([x, x[::-1]]), np.concatenate([y, y[::-1]]))
+    assert doubled.x.tobytes() == single.x.tobytes()
+    assert doubled.y.tobytes() == single.y.tobytes()
+    assert np.all(single.weights == 1.0) and np.all(doubled.weights == 2.0)
+    fit, trace = fit_convex_lse(single)
+    fit2, trace2 = fit_convex_lse(doubled)
+    assert fit2.fitted.tobytes() == fit.fitted.tobytes() and fit2.kinks == fit.kinks
+    assert (trace2.iterations, trace2.steps) == (trace.iterations, trace.steps)
+
+
+@given(st.integers(0, 10_000), st.integers(5, 3000), st.sampled_from([1.0, 1e-1, 1e-2, 1e-3]))
+def test_doubled_rows_merge_into_the_same_fit(seed, n, noise):
+    _assert_doubled_rows_fit_alike(seed, n, noise)
+
+
+def test_doubled_rows_merge_into_the_same_fit_at_1e5_rows():
+    _assert_doubled_rows_fit_alike(20261020, 100_000, 1e-2)
+
+
 class TestKktSums:
     def test_zero_for_interpolating_fit(self):
         x = np.linspace(0.0, 1.0, 8)
