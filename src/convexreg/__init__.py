@@ -41,7 +41,6 @@ _EXPORTS = {
         "invelope_study",
         "local_error_study",
         "rate_study",
-        "simulate_affine_invelope",
         "simulate_invelope",
         "true_mean",
     ),

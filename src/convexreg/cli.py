@@ -137,8 +137,6 @@ def _run_study(study, args):
     bound.apply_defaults()
     params = bound.arguments
     if args.command == "invelope":
-        if params["refine"] and params["replicates"] < 2:
-            raise InputError("--refine needs at least 2 replicates")
         unread = ("r", "c") if params["scenario"] == "affine" else ("x0",)
         for name in unread if params["refine"] else (*unread, "refine"):
             del params[name]

@@ -252,13 +252,12 @@ def evaluate(fit: ConvexFit, dataset: Dataset, t):
     t = _check_domain(t)
     x = dataset.x
     out = np.interp(t, x, fitted)
-    s = segment_slopes(x, fitted)
     left = t < x[0]
     right = t > x[-1]
     if np.any(left):
-        out = np.where(left, fitted[0] + s[0] * (t - x[0]), out)
+        out = np.where(left, fitted[0] + _slope(x, fitted, 0) * (t - x[0]), out)
     if np.any(right):
-        out = np.where(right, fitted[-1] + s[-1] * (t - x[-1]), out)
+        out = np.where(right, fitted[-1] + _slope(x, fitted, x.size - 2) * (t - x[-1]), out)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -267,7 +266,13 @@ def left_derivative(fit: ConvexFit, dataset: Dataset, t):
     t <= x_1 and the last segment slope for t > x_n.  Nondecreasing in t."""
     fitted = fitted_values(dataset, fit)
     t = _check_domain(t)
-    s = segment_slopes(dataset.x, fitted)
-    idx = np.clip(np.searchsorted(dataset.x, t, side="left") - 1, 0, s.size - 1)
-    return float(s[idx]) if np.ndim(t) == 0 else s[idx]
+    x = dataset.x
+    s = _slope(x, fitted, np.clip(np.searchsorted(x, t, side="left") - 1, 0, x.size - 2))
+    return float(s) if np.ndim(t) == 0 else s
+
+
+def _slope(x, values, i):
+    """Slope of segment i (an index or an index array), the same operations
+    as :func:`segment_slopes` on just the segments a point query reads."""
+    return (values[i + 1] - values[i]) / (x[i + 1] - x[i])
 

@@ -4,9 +4,12 @@ Scenario generators draw uniform designs with Gaussian noise around a
 flat-bottomed polynomial mean (vanishing derivatives of orders 2..r-1 at the
 center) or an affine mean, both times ``AMPLITUDE``, or 1 - t + t^2.  The rate
 study pools log absolute bias at a query point against log sample size and
-reports the fitted slope.  The invelope simulators fit the convex estimator
-to canonical drifted-noise data on a uniform grid, which approximates the
-second and third derivatives of the limiting invelope process at a point.
+reports the fitted slope.  One invelope simulator, :func:`simulate_invelope`,
+fits the convex estimator to scaled noise on a uniform grid, which
+approximates the second and third derivatives of the limiting invelope
+process at a point: with the polynomial drift of case (a) on [-c, c]
+("vanishing", which reads r and c) or with none on [0, 1], queried at x0
+("affine", which reads x0).
 The local error and boundary studies record argmin errors and boundary
 overshoots per replicate.
 
@@ -362,7 +365,7 @@ def rate_study(scenario: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
 
 
 # ---------------------------------------------------------------------------
-# invelope simulators
+# invelope simulator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -431,44 +434,37 @@ def _check_invelope(scenario, m, r, c, x0):
         raise ValueError(f"c must be strictly positive, got {c}")
 
 
-def _invelope_grid(m, lo, width, key, query, r, c):
-    """Fit the m midpoints of [lo, lo + width]: noise from stream ``key``
-    over sqrt(delta), plus the drift (r+2)(r+1) t^r when r > 0."""
+def simulate_invelope(scenario: str = "vanishing", m: int = 2000, seed: int = 0, r: int = 2,
+                      c: float = 4.0, x0: float = 0.5) -> InvelopeSample:
+    """One draw of the drift ("vanishing") or zero-drift ("affine") limit
+    pair: the convex fit to scaled noise on the m midpoints of a grid.
+
+    "vanishing" reads r and c: the grid covers [-c, c], the query is 0 and
+    the responses are (r+2)(r+1) t^r + eta / sqrt(delta) with standard
+    normal eta (stream 3) and delta = 2c/m.  Cumulative sums of
+    responses*delta then approximate a two-sided Brownian motion plus the
+    drift (r+2) t^(r+1), and double cumulative sums approximate its integral
+    plus t^(r+2); the fitted values approximate the second derivative of the
+    invelope of that integrated process, the left slope its third
+    derivative.  "affine" reads x0: stream 4's noise alone on [0, 1],
+    queried at x0; its sample reports r = 0 and c = 0.5.
+    """
+    _check_invelope(scenario, m, r, c, x0)
+    if scenario == "affine":
+        lo, width, key, query, r, c = 0.0, 1.0, (_STREAM_FLAT_INVELOPE, m, seed), x0, 0, 0.5
+    else:
+        lo, width, key, query = -c, 2.0 * c, (_STREAM_INVELOPE, r, m, seed), 0.0
     delta = width / m
     t = lo + (np.arange(m) + 0.5) * delta
     responses = rng_from_key(*key).standard_normal(m) / math.sqrt(delta)
     if r:
         responses = (r + 2) * (r + 1) * t ** r + responses
-    return _run_invelope(t, responses, delta, query, r, c)
-
-
-def simulate_invelope(r: int, c: float = 4.0, m: int = 2000, seed: int = 0) -> InvelopeSample:
-    """Simulate the canonical drifted-noise problem on a uniform grid over
-    [-c, c] and fit the convex estimator.
-
-    Responses are (r+2)(r+1) t^r + eta / sqrt(delta) with standard normal
-    eta and delta = 2c/m.  Cumulative sums of responses*delta then
-    approximate a two-sided Brownian motion plus the drift (r+2) t^(r+1),
-    and double cumulative sums approximate its integral plus t^(r+2); the
-    fitted values approximate the second derivative of the invelope of that
-    integrated process, the left slope its third derivative.
-    """
-    _check_invelope("vanishing", m, r, c, 0.0)
-    return _invelope_grid(m, -c, 2.0 * c, (_STREAM_INVELOPE, r, m, seed), 0.0, r, float(c))
-
-
-def simulate_affine_invelope(m: int = 2000, seed: int = 0, query: float = 0.5) -> InvelopeSample:
-    """Zero-drift variant on [0, 1]: responses are pure scaled noise and the
-    fitted values approximate the invelope second derivative at ``query``."""
-    _check_invelope("affine", m, 0, 0.5, query)
-    return _invelope_grid(m, 0.0, 1.0, (_STREAM_FLAT_INVELOPE, m, seed), query, 0, 0.5)
+    return _run_invelope(t, responses, delta, query, r, float(c))
 
 
 def _invelope_task(args):
     m, replicate, seed, scenario, r, c, x0 = args
-    if scenario == "affine":
-        return replicate, seed, simulate_affine_invelope(m, seed, query=x0)
-    return replicate, seed, simulate_invelope(r, c, m, seed)
+    return replicate, seed, simulate_invelope(scenario, m, seed, r, c, x0)
 
 
 def invelope_study(scenario: str = "vanishing", m: int = 2000, replicates: int = 100,
@@ -479,6 +475,8 @@ def invelope_study(scenario: str = "vanishing", m: int = 2000, replicates: int =
     ``mix_seed(seed, m, replicate)``; ``refine`` appends the same seeds drawn
     on the 2m-point grid."""
     _check_invelope(scenario, m, r, c, x0)
+    if refine and replicates < 2:
+        raise ValueError(f"refine needs at least 2 replicates, got {replicates}")
     tasks = _replicate_tasks([m], replicates, seed, scenario, r, c, x0)
     if refine:
         tasks += [(2 * n, *rest) for n, *rest in tasks]

@@ -19,8 +19,11 @@ comes out of the sweep, so the test is O(k).  Otherwise feasibility is
 resolved by Meyer's line search toward the first solve's coefficients,
 dropping hinges whose coefficients reach zero (most binding first).  The
 loop stops when no open sum is strictly negative, or when a step enters and
-drops nothing; ``kkt_tol`` only judges the certificate, the cumulative-sum
-conditions themselves, and never changes the solve path:
+drops nothing, or when a step would return to a kink set the loop has
+already held: a solve depends only on the kink set, so the loop is a
+deterministic map on kink sets and a revisit is an endless cycle.  ``kkt_tol``
+only judges the certificate, the cumulative-sum conditions themselves, and
+never changes the solve path:
 
     cum[p] = sum_{k < p} (prefix_fitted_k - prefix_response_k) * (x_{k+1} - x_k)
 
@@ -55,6 +58,7 @@ and uses it for the fitted values and the batch pick; a batch is merged
 into the kinks by one stable argsort.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +116,12 @@ class SolverStep:
     the kink set and that were ``dropped`` from it, the ``path`` that made
     the step feasible and the ``solves`` it spent.  ``path`` is
     ``"feasible"`` (the entry solve was feasible), ``"batch_drop"``,
-    ``"line_search"`` or ``"budget"``: the solve budget ran out during the
-    step, which then enters and drops nothing.  A step that enters and
-    drops nothing is recorded and ends the loop, so the records' solves add
-    up to ``SolverTrace.iterations`` on every trace."""
+    ``"line_search"``, ``"budget"`` (the solve budget ran out during the
+    step) or ``"cycle"`` (the step reached a kink set the loop had already
+    held; the loop keeps its current set); the last two enter and drop
+    nothing.  A step that enters and drops nothing is recorded and ends the
+    loop, so the records' solves add up to ``SolverTrace.iterations`` on
+    every trace."""
 
     entered: tuple[int, ...]
     dropped: tuple[int, ...]
@@ -382,6 +388,7 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
     # one solve: the budget is at least 100 and the empty set is feasible
     kinks, coef, values, norm = solve(np.empty(0, dtype=int))
     records.append(SolverStep((), (), "feasible", 1))
+    seen = {_digest(kinks)}  # every kink set the loop has held
 
     while True:
         nodes = system._nodes(kinks)
@@ -397,14 +404,22 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
         spent = solves
         solution, path = enter(batch)
         step = _record(kinks, solution[0], batch, dataset.n, path, solves - spent)
-        records.append(step)
         if not (step.entered or step.dropped):
             # the entering hinges were infeasible at float resolution; no
             # strict progress is possible, certify what we have
+            records.append(step)
             break
+        digest = _digest(solution[0])
+        if digest in seen:
+            # exact support reduction never returns to a set: this is a
+            # float cycle, so keep the current set and certify it
+            records.append(SolverStep((), (), "cycle", solves - spent))
+            break
+        seen.add(digest)
+        records.append(step)
         kinks, coef, values, norm = solution
 
-    # both exits above leave `cum` computed for the final `fitted`
+    # every exit above leaves `cum` computed for the final `fitted`
     final = trace()
     violations = final.certificate.violations(kinks, scale)
     if not all(v <= kkt_tol for v in violations.values()):
@@ -431,6 +446,12 @@ def _merge_batch(kinks: np.ndarray, hinge: np.ndarray,
     merged = np.concatenate((batch, kinks))
     order = merged.argsort(kind="stable")
     return merged[order], np.concatenate((np.zeros(batch.size), hinge))[order]
+
+
+def _digest(kinks: np.ndarray) -> bytes:
+    """8-byte digest of a kink set; unlike ``hash`` it is the same in every
+    process, so a collision, which could only end the loop early, repeats."""
+    return hashlib.blake2b(kinks.tobytes(), digest_size=8).digest()
 
 
 def _feasible(solution) -> bool:

@@ -27,7 +27,7 @@ from helpers import near_duplicate_dataset, near_duplicate_design, random_datase
 
 
 def invelope_dataset(seed):
-    """The dataset ``simulate_invelope(2, 4, 2000, seed)`` fits."""
+    """The dataset ``simulate_invelope("vanishing", 2000, seed, 2, 4.0)`` fits."""
     seen = []
 
     def spy(dataset):
@@ -36,7 +36,7 @@ def invelope_dataset(seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "fit_convex_lse", spy)
-        simulation.simulate_invelope(2, 4.0, 2000, seed)
+        simulation.simulate_invelope("vanishing", 2000, seed, 2, 4.0)
     return seen[0]
 
 

@@ -20,7 +20,6 @@ from convexreg import (
     local_error_study,
     rate_study,
     boundary_inconsistency_study,
-    simulate_affine_invelope,
     simulate_invelope,
     ScenarioSpec,
 )
@@ -178,8 +177,8 @@ def test_c6_boundary_inconsistency():
 
 def test_c7_invelope_self_consistency():
     seeds = [mix_seed(BASE_SEED, 7, k) for k in range(500)]
-    coarse = [simulate_invelope(2, 4.0, 2000, s) for s in seeds]
-    fine = [simulate_invelope(2, 4.0, 4000, s) for s in seeds]
+    coarse = [simulate_invelope("vanishing", 2000, s, 2, 4.0) for s in seeds]
+    fine = [simulate_invelope("vanishing", 4000, s, 2, 4.0) for s in seeds]
     min_gap = min(min(s.min_envelope_gap for s in coarse),
                   min(s.min_envelope_gap for s in fine))
     kink_gap = max(max(s.kink_envelope_gap for s in coarse),
@@ -220,7 +219,7 @@ def test_c8_limit_distribution_cross_check():
         finite.append(np.sqrt(4000.0) * evaluate(fit, ds, 0.5))
     finite = np.array(finite)
     limit = np.array(
-        [simulate_affine_invelope(2000, mix_seed(BASE_SEED, 2000, k)).h2_at_0
+        [simulate_invelope("affine", 2000, mix_seed(BASE_SEED, 2000, k)).h2_at_0
          for k in range(500)]
     )
 

@@ -592,7 +592,8 @@ def test_invelope_refine_adds_the_doubled_grid(tmp_path):
     for k, (row, fine) in enumerate(zip(rows[:6], rows[6:])):
         assert int(row["replicate"]) == int(fine["replicate"]) == k
         assert int(row["seed"]) == int(fine["seed"]) == mix_seed(8, 250, k)
-    assert float(rows[-1]["h2"]) == simulate_invelope(2, 4.0, 500, mix_seed(8, 250, 5)).h2_at_0
+    assert float(rows[-1]["h2"]) == simulate_invelope(
+        "vanishing", 500, mix_seed(8, 250, 5), 2, 4.0).h2_at_0
 
     plain = json.loads((tmp_path / "plain.json").read_text())
     refined = json.loads((tmp_path / "refined.json").read_text())
@@ -708,6 +709,33 @@ def test_bad_study_flags_exit_2_before_any_task(tmp_path, monkeypatch, capsys, a
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert re.search(rf"\b{named}\b", err), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refine_with_one_replicate_exits_2_before_any_task(tmp_path, monkeypatch, capsys):
+    # invelope_study checks refine itself, next to its grid checks
+    import convexreg.simulation as simulation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(simulation, "_run_tasks", never)
+    argv = ["invelope", "--refine", "--replicates", "1", "--output", str(tmp_path / "a")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: refine needs at least 2 replicates, got 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_noiseless_affine_rates_exit_2_with_zero_bias(tmp_path, capsys):
+    # every noise-free affine fit certifies (none cycles to the solve
+    # budget), reproduces the mean and so has zero bias: no slope to fit
+    argv = ["rates", "--scenario", "affine", "--n-grid", "100,200", "--replicates", "20",
+            "--sigma", "0", "--output", str(tmp_path / "rates")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("input error: all 40 replicates had exactly zero bias; "
+                   "no slope to fit\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -990,8 +1018,8 @@ def test_public_names_are_pinned():
         "argmin_estimator", "boundary_diagnostics", "boundary_inconsistency_study",
         "build_dataset", "characterization_report", "evaluate", "fit_convex_lse",
         "generate_scenario", "invelope_study", "kkt_sums", "left_derivative",
-        "local_error_study", "rate_study", "scaling_constants", "simulate_affine_invelope",
-        "simulate_invelope", "true_mean",
+        "local_error_study", "rate_study", "scaling_constants", "simulate_invelope",
+        "true_mean",
     ]
 
 

@@ -20,7 +20,6 @@ from convexreg import (
     invelope_study,
     local_error_study,
     rate_study,
-    simulate_affine_invelope,
     simulate_invelope,
     true_mean,
 )
@@ -175,19 +174,19 @@ class TestRateStudy:
 
 class TestInvelope:
     def test_determinism(self):
-        a = simulate_invelope(2, 4.0, 400, seed=11)
-        b = simulate_invelope(2, 4.0, 400, seed=11)
+        a = simulate_invelope("vanishing", 400, seed=11, r=2, c=4.0)
+        b = simulate_invelope("vanishing", 400, seed=11, r=2, c=4.0)
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simulate_invelope(3, 4.0, 400, 0)
+            simulate_invelope("vanishing", 400, 0, 3, 4.0)
         with pytest.raises(ValueError):
-            simulate_invelope(2, -1.0, 400, 0)
+            simulate_invelope("vanishing", 400, 0, 2, -1.0)
         with pytest.raises(ValueError):
-            simulate_invelope(2, 4.0, 100, 0)
+            simulate_invelope("vanishing", 100, 0, 2, 4.0)
         with pytest.raises(ValueError):
-            simulate_affine_invelope(100, 0)
+            simulate_invelope("affine", 100, 0)
 
     def test_noiseless_drift_interpolates(self):
         # with the noise off the responses are a convex polynomial, so the
@@ -218,9 +217,9 @@ class TestInvelope:
         # [0, 1] this is the certificate process times 2c * delta
         seed, m = 3, 400
         if variant == "drift":
-            sample = simulate_invelope(2, 4.0, m, seed)
+            sample = simulate_invelope("vanishing", m, seed, 2, 4.0)
         else:
-            sample = simulate_affine_invelope(m, seed)
+            sample = simulate_invelope("affine", m, seed)
         t, responses, delta = invelope_grid(variant, m, seed)
         lo, hi = sample.domain
         ds = Dataset.from_arrays((t - lo) / (hi - lo), responses)
@@ -243,10 +242,10 @@ class TestInvelope:
 
     def test_sample_envelope_fields_certify(self):
         for seed in range(5):
-            s = simulate_invelope(2, 4.0, 500, seed)
+            s = simulate_invelope("vanishing", 500, seed, 2, 4.0)
             assert s.min_envelope_gap >= -1e-8
             assert s.kink_envelope_gap <= 1e-8
-            sa = simulate_affine_invelope(500, seed)
+            sa = simulate_invelope("affine", 500, seed)
             assert sa.min_envelope_gap >= -1e-8
             assert sa.kink_envelope_gap <= 1e-8
 
@@ -265,25 +264,25 @@ class TestInvelope:
                             lambda t, responses, delta, query, r, c:
                             (t, responses, delta, query, r, c))
         if variant == "drift":
-            got = simulate_invelope(r, c, m, seed)
+            got = simulate_invelope("vanishing", m, seed, r, c)
             t, responses, delta = invelope_grid(variant, m, seed, r, c)
         else:
-            got = simulate_affine_invelope(m, seed, query)
+            got = simulate_invelope("affine", m, seed, x0=query)
             t, responses, delta = invelope_grid(variant, m, seed)
         assert got[0].tobytes() == t.tobytes()
         assert got[1].tobytes() == responses.tobytes()
         assert got[2:] == (delta, query, r, c) and type(got[-1]) is float
 
     def test_affine_sample_reports_query_point(self):
-        s = simulate_affine_invelope(400, 2, query=0.25)
+        s = simulate_invelope("affine", 400, 2, x0=0.25)
         assert abs(s.query_point - 0.25) < 1.0 / 400
         assert s.domain == (0.0, 1.0)
         assert s.r == 0
 
     def test_refinement_smoke(self):
         # matched seeds across a grid refinement: distributions stay close
-        coarse = np.array([simulate_invelope(2, 4.0, 400, s).h2_at_0 for s in range(40)])
-        fine = np.array([simulate_invelope(2, 4.0, 800, s).h2_at_0 for s in range(40)])
+        coarse = np.array([simulate_invelope("vanishing", 400, s).h2_at_0 for s in range(40)])
+        fine = np.array([simulate_invelope("vanishing", 800, s).h2_at_0 for s in range(40)])
         pooled = np.hypot(coarse.std(ddof=1), fine.std(ddof=1)) / np.sqrt(40)
         assert abs(coarse.mean() - fine.mean()) < 4 * pooled
 

@@ -16,7 +16,7 @@ from convexreg import (
     kkt_sums,
 )
 from convexreg import solver
-from convexreg.simulation import ScenarioSpec, generate_scenario
+from convexreg.simulation import ScenarioSpec, generate_scenario, mix_seed
 from convexreg.solver import _HingeSystem, _entering_batch, _merge_batch, certificate_scale
 
 from corpus import (
@@ -321,6 +321,51 @@ def test_every_solve_is_recorded():
         else:
             assert last.entered or last.dropped, seed
     assert stalled == 40
+
+
+def _affine_noiseless(s, n, k):
+    return generate_scenario(ScenarioSpec("affine", n, mix_seed(s, n, k), sigma=0.0))
+
+
+def test_exactly_affine_noiseless_draws_certify():
+    # noise-free affine data are their own fit; before the revisit exit,
+    # three of these 400 draws cycled between two kink sets until the
+    # budget ran out.  Every fit certifies (fit_convex_lse raises otherwise)
+    # at an objective of 0 to roundoff
+    solves = 0
+    for s in range(4):
+        for n in (100, 200, 500, 1000, 2000):
+            for k in range(20):
+                ds = _affine_noiseless(s, n, k)
+                fit, trace = fit_convex_lse(ds)
+                assert trace.final_objective <= n * (4 * np.finfo(float).eps) ** 2, (s, n, k)
+                solves += trace.iterations
+    assert solves == 999
+
+
+# (s, n, k) of _affine_noiseless: (solves, the index the second step
+# enters, the solves of the cycle step that returns to the empty set)
+CYCLE_PINS = {
+    (0, 500, 13): (7, 498, 5),
+    (1, 200, 12): (9, 172, 7),
+    (1, 200, 15): (7, 198, 5),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(CYCLE_PINS))
+def test_a_revisited_kink_set_ends_the_loop_in_one_cycle_step(draw):
+    # the step after entering j drops it again, back to the empty set the
+    # loop held first: that step is recorded as "cycle", entering and
+    # dropping nothing, and the loop certifies the set it holds, {j}
+    solves, j, cycle_solves = CYCLE_PINS[draw]
+    fit, trace = fit_convex_lse(_affine_noiseless(*draw))
+    assert trace.iterations == solves
+    assert trace.steps == (
+        solver.SolverStep((), (), "feasible", 1),
+        solver.SolverStep((j,), (), "feasible", 1),
+        solver.SolverStep((), (), "cycle", cycle_solves),
+    )
+    assert replay(trace.steps)[-1] == [j] == [i for i, _ in fit.hinge_coeffs]
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
