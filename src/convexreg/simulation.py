@@ -318,6 +318,8 @@ def _probe_spec(kind, n_grid, **params):
 def _replicate_tasks(n_grid, replicates, seed, *params):
     """``(n, replicate, mix_seed(seed, n, replicate), *params)`` for every
     replicate at every size of the checked grid, sizes outermost."""
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     return [
         (n, rep, mix_seed(seed, n, rep), *params)
         for n in _study_grid(n_grid)

@@ -18,9 +18,9 @@ strict descent, which is all the support-reduction argument needs; the norm
 comes out of the sweep, so the test is O(k).  Otherwise feasibility is
 resolved by Meyer's line search toward the first solve's coefficients,
 dropping hinges whose coefficients reach zero (most binding first).  The
-loop stops when no open sum is strictly negative, or when a step enters and
-drops nothing, or when a step would return to a kink set the loop has
-already held: a solve depends only on the kink set, so the loop is a
+loop stops when no open sum is strictly negative, or when a step returns a
+kink set the loop has already held (the current one, for a step that enters
+and drops nothing): a solve depends only on the kink set, so the loop is a
 deterministic map on kink sets and a revisit is an endless cycle.  ``kkt_tol``
 only judges the certificate, the cumulative-sum conditions themselves, and
 never changes the solve path:
@@ -118,10 +118,10 @@ class SolverStep:
     ``"feasible"`` (the entry solve was feasible), ``"batch_drop"``,
     ``"line_search"``, ``"budget"`` (the solve budget ran out during the
     step) or ``"cycle"`` (the step reached a kink set the loop had already
-    held; the loop keeps its current set); the last two enter and drop
-    nothing.  A step that enters and drops nothing is recorded and ends the
-    loop, so the records' solves add up to ``SolverTrace.iterations`` on
-    every trace."""
+    held, its current one included; the loop keeps its current set); the
+    last two enter and drop nothing and end the loop.  Every other step
+    changes the kink set, and the records' solves add up to
+    ``SolverTrace.iterations`` on every trace."""
 
     entered: tuple[int, ...]
     dropped: tuple[int, ...]
@@ -403,20 +403,16 @@ def fit_convex_lse(dataset: Dataset, kkt_tol: float = KKT_TOL):
             break
         spent = solves
         solution, path = enter(batch)
-        step = _record(kinks, solution[0], batch, dataset.n, path, solves - spent)
-        if not (step.entered or step.dropped):
-            # the entering hinges were infeasible at float resolution; no
-            # strict progress is possible, certify what we have
-            records.append(step)
-            break
         digest = _digest(solution[0])
         if digest in seen:
             # exact support reduction never returns to a set: this is a
-            # float cycle, so keep the current set and certify it
+            # float cycle, so keep the current set and certify it.  The
+            # current set is in `seen`: a step whose entering hinges were
+            # all infeasible at float resolution ends here too
             records.append(SolverStep((), (), "cycle", solves - spent))
             break
         seen.add(digest)
-        records.append(step)
+        records.append(_record(kinks, solution[0], batch, dataset.n, path, solves - spent))
         kinks, coef, values, norm = solution
 
     # every exit above leaves `cum` computed for the final `fitted`

@@ -216,8 +216,9 @@ def test_certificate_failure_writes_the_step_trace(tmp_path, capsys):
 
 
 def test_stalled_certificate_failure_records_every_solve(tmp_path, capsys):
-    # this near-noiseless fit ends on a step that enters and drops nothing;
-    # its trace records that step too, so the step solves add up
+    # this near-noiseless fit ends on a step that enters and drops nothing,
+    # which returns the set the loop holds; its trace records that step as
+    # "cycle", so the step solves add up
     ds = near_noiseless_dataset(0, 2000, 1e-8)
     src = tmp_path / "stall.csv"
     write_xy(src, ds.x, ds.y)
@@ -227,7 +228,22 @@ def test_stalled_certificate_failure_records_every_solve(tmp_path, capsys):
     blob = json.loads((tmp_path / "stall.trace.json").read_text())
     assert blob["iterations"] == 44
     assert sum(step["solves"] for step in blob["steps"]) == blob["iterations"]
-    assert (blob["steps"][-1]["entered"], blob["steps"][-1]["dropped"]) == ([], [])
+    last = blob["steps"][-1]
+    assert (last["entered"], last["dropped"], last["path"]) == ([], [], "cycle")
+
+
+def test_the_fit_module_exits_2_on_a_bad_tol_and_3_on_an_uncertified_fit(tmp_path):
+    # the in-process tests above call main(); this launch checks that the
+    # module hands its return code to the shell
+    env = dict(os.environ, PYTHONPATH=str(Path(convexreg.__file__).parents[1]))
+    for tol, code in (("0", 2), ("1e-300", 3)):
+        done = subprocess.run(
+            [sys.executable, "-m", "convexreg.cli", "fit", "--input",
+             str(FIXTURES / "fit_n12.csv"), "--output", str(tmp_path / "n12.json"),
+             "--tol", tol],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        assert not (tmp_path / "n12.json").exists()
 
 
 def test_malformed_csv_reports_line(tmp_path, capsys):
@@ -487,8 +503,9 @@ def test_study_commands_rerun_byte_identical(tmp_path, argv):
         ["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "20",
          "--seed", "9", "--sigma", "0.5", "--x0", "0.3"],
         ["argmin", "--n-grid", "80,160", "--replicates", "4", "--seed", "2", "--sigma", "0.7"],
+        ["invelope", "--refine", "--m", "250", "--replicates", "5", "--seed", "4"],
     ],
-    ids=["invelope_drift", "invelope_affine", "boundary", "rates", "argmin"],
+    ids=["invelope_drift", "invelope_affine", "boundary", "rates", "argmin", "invelope_refine"],
 )
 def test_study_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
     artifacts = {}
@@ -691,10 +708,15 @@ def test_bad_study_flags_exit_2_before_writing(tmp_path, monkeypatch, capsys, ar
         (["rates", "--scenario", "vanishing", "--n-grid", "5,10"], "n_grid"),
         # the boundary study draws a scenario, so it shares the floor n >= 10
         (["boundary", "--n-grid", "5,8"], "n_grid"),
+        (["rates", "--scenario", "affine", "--seed", "-1"], "seed"),
+        (["invelope", "--seed", "-1"], "seed"),
+        (["argmin", "--seed", "-1"], "seed"),
+        (["boundary", "--seed", "-1"], "seed"),
     ],
     ids=["invelope_x0_outside", "invelope_negative_c", "invelope_small_m",
          "argmin_negative_sigma", "argmin_odd_r", "argmin_small_n", "boundary_tiny_n",
-         "rates_small_n_below_largest", "boundary_small_n"],
+         "rates_small_n_below_largest", "boundary_small_n", "rates_negative_seed",
+         "invelope_negative_seed", "argmin_negative_seed", "boundary_negative_seed"],
 )
 def test_bad_study_flags_exit_2_before_any_task(tmp_path, monkeypatch, capsys, argv, named):
     # the study checks every spec its tasks would build before it hands them
@@ -1062,6 +1084,20 @@ def test_every_src_definition_is_referenced_from_src():
         if references[node.name] <= Counter(_named(node))[node.name]
     ]
     assert unreferenced == []
+
+
+def test_ci_workflow_runs_only_the_suites():
+    # CI installs the dependencies and runs the two test suites, nothing
+    # else, so a check that CI makes is a test a local run makes too.  The
+    # workflow is read as text: any other `run:` line, a block included,
+    # fails here
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+    runs = re.findall(r"^\s*(?:-\s+)?run:\s*(.*?)\s*$",
+                      workflow.read_text(encoding="utf-8"), flags=re.MULTILINE)
+    install, *suites = runs
+    assert install.startswith("python -m pip install "), install
+    assert suites == ["PYTHONPATH=src python -m pytest -q --durations=10",
+                      "python3 -m pytest bench/tests"]
 
 
 def test_readme_entry_points_resolve():

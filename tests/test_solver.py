@@ -299,14 +299,14 @@ def test_stalled_fits_are_pinned(name):
         assert fit.kinks == kinks
     assert trace.final_objective == pytest.approx(objective, rel=1e-12)
     last = trace.steps[-1]
-    assert (last.entered, last.dropped) == ((), ())
+    assert (last.entered, last.dropped, last.path) == ((), (), "cycle")
 
 
 def test_every_solve_is_recorded():
-    # a step that enters and drops nothing ends the loop with its record:
-    # the records' solves add up to the trace's, and a fit whose final sums
-    # still hold a violator (the loop stalled) ends on an empty record.  40
-    # of these 200 fits stall
+    # a step that enters and drops nothing returns the set the loop holds,
+    # so it ends the loop as a "cycle" record: the records' solves add up
+    # to the trace's, and a fit whose final sums still hold a violator (the
+    # loop stalled) ends on that record.  40 of these 200 fits stall
     stalled = 0
     for seed in range(200):
         fit, trace = fit_convex_lse(extreme_weight_dataset(seed, 100))
@@ -317,7 +317,7 @@ def test_every_solve_is_recorded():
         last = trace.steps[-1]
         if open_sums.min() < 0.0:
             stalled += 1
-            assert (last.entered, last.dropped) == ((), ()), seed
+            assert (last.entered, last.dropped, last.path) == ((), (), "cycle"), seed
         else:
             assert last.entered or last.dropped, seed
     assert stalled == 40
@@ -436,11 +436,12 @@ def test_the_line_search_alone_reaches_the_recorded_fits(family, monkeypatch):
 @pytest.mark.parametrize("n", [300, 1000, 10000])
 def test_noiseless_uniform_grid_is_reproduced(curve, n):
     # strictly convex data are their own projection, so every interior point
-    # is a kink; a loop that stops short of the last negative sum misses most
+    # is a kink; a loop that stops short of the last negative sum misses most.
+    # The fitted values are the data bit for bit
     x = np.linspace(0.0, 1.0, n)
     y = curve(x)
     fit, _ = fit_convex_lse(Dataset(x=x, y=y, weights=np.ones(n)))
-    assert np.max(np.abs(fit.fitted - y)) <= 1e-12 * (1.0 + np.max(np.abs(y)))
+    assert fit.fitted.tobytes() == y.tobytes(), np.max(np.abs(fit.fitted - y))
     assert fit.kinks == tuple(range(1, n - 1))
 
 
