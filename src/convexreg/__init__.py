@@ -18,7 +18,6 @@ _EXPORTS = {
         "KINK_TOL",
         "KKT_TOL",
         "SCALE_LIMIT",
-        "build_dataset",
         "evaluate",
         "left_derivative",
     ),

@@ -33,7 +33,7 @@ import warnings
 import numpy as np
 
 from .diagnostics import characterization_report
-from .model import KINK_TOL, KKT_TOL, Dataset, build_dataset, evaluate, left_derivative
+from .model import KINK_TOL, KKT_TOL, Dataset, evaluate, left_derivative
 from .output import canonical_json, write_csv, write_json
 from .solver import SolverError, fit_convex_lse
 
@@ -171,7 +171,7 @@ def _write_study(config, header, rows, summary):
 def cmd_fit(args) -> int:
     data = _read_csv_columns(args.input, ("x", "y"))
     try:
-        dataset = build_dataset(data)
+        dataset = Dataset.from_arrays(data[:, 0], data[:, 1])
     except ValueError as exc:
         raise InputError(f"{args.input}: {exc}") from exc
     del data  # the dataset holds its own copies; the parsed CSV is not needed again
@@ -233,6 +233,7 @@ def cmd_fit(args) -> int:
 
 def cmd_check(args) -> int:
     data = _read_csv_columns(args.input, ("x", "y", "fitted"))
+    data = data[data[:, 0].argsort(kind="stable")]  # rows may come in any order, as for fit
     try:
         dataset = Dataset(x=data[:, 0], y=data[:, 1], weights=np.ones(len(data)))
     except ValueError as exc:

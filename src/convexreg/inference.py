@@ -71,10 +71,10 @@ def scaling_constants(r: int, sigma: float, mu_r_at_x0: float) -> tuple[float, f
     """
     if r < 2 or r % 2 != 0:
         raise ValueError("r must be an even integer >= 2")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be strictly positive")
-    if mu_r_at_x0 <= 0.0:
-        raise ValueError("the r-th derivative at the point must be strictly positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be strictly positive and finite")
+    if not 0.0 < mu_r_at_x0 < math.inf:
+        raise ValueError("the r-th derivative at the point must be strictly positive and finite")
     fact = math.factorial(r + 2)
     root = 1.0 / (2 * r + 1)
     d1 = (fact / (sigma ** (2 * r) * mu_r_at_x0)) ** root

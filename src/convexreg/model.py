@@ -4,8 +4,8 @@ Datasets keep the design sorted, with exact duplicate abscissae merged into
 weighted points (weight = multiplicity, response = weighted mean); merging
 keeps every divided-difference denominator nonzero while the weighted
 problem has the same optimum as the original one.  ``Dataset(...)`` is the
-one checked constructor: ``Dataset.from_arrays`` and ``build_dataset`` sort
-and merge raw pairs, then build through it.
+one checked constructor: ``Dataset.from_arrays`` sorts and merges raw
+(x, y) pairs, then builds through it.
 
 Fits are piecewise linear: values at the design points plus the equivalent
 hinge form
@@ -127,22 +127,6 @@ class Dataset:
         return cls(xs, np.bincount(inverse, weights=y) / counts, counts)
 
 
-def build_dataset(points) -> Dataset:
-    """Build a :class:`Dataset` from (x, y) pairs.
-
-    Duplicate x-values are merged into a single point whose weight is the
-    multiplicity and whose response is the mean of the duplicates.
-    """
-    # an ndarray is taken whole: list() would split it into row arrays
-    pts = points if isinstance(points, np.ndarray) else list(points)
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points")
-    arr = np.asarray(pts, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("points must be (x, y) pairs")
-    return Dataset.from_arrays(arr[:, 0], arr[:, 1])
-
-
 # ---------------------------------------------------------------------------
 # piecewise-linear machinery shared by fits and raw fitted-value arrays
 # ---------------------------------------------------------------------------
@@ -240,7 +224,7 @@ def fitted_values(dataset: Dataset, fit_or_values) -> np.ndarray:
 
 def _check_domain(t):
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError("evaluation points must lie in [0, 1]")
     return t
 

@@ -432,8 +432,8 @@ def _check_invelope(scenario, m, r, c, x0):
             raise ValueError(f"query point x0 must be interior to (0, 1), got {x0}")
     elif r < 2 or r % 2 != 0:
         raise ValueError(f"r must be an even integer >= 2, got {r}")
-    elif c <= 0.0:
-        raise ValueError(f"c must be strictly positive, got {c}")
+    elif not 0.0 < c < math.inf:
+        raise ValueError(f"c must be strictly positive and finite, got {c}")
 
 
 def simulate_invelope(scenario: str = "vanishing", m: int = 2000, seed: int = 0, r: int = 2,

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from convexreg import Dataset, build_dataset, fit_convex_lse
+from convexreg import Dataset, fit_convex_lse
 from convexreg import simulation
 from convexreg.simulation import DEFAULT_RATE_GRID, ScenarioSpec, generate_scenario, mix_seed
 
@@ -92,9 +92,9 @@ PIN_DESIGNS = {
     "rates_10000_0": lambda: rates_dataset(10000, 0),
     "invelope_0": lambda: invelope_dataset(0),
     "invelope_1": lambda: invelope_dataset(1),
-    "near_duplicate_design_0": lambda: build_dataset(zip(*near_duplicate_design(0))),
-    "near_duplicate_design_5_21": lambda: build_dataset(
-        zip(*near_duplicate_design(21, 5, copies=1))),
+    "near_duplicate_design_0": lambda: Dataset.from_arrays(*near_duplicate_design(0)),
+    "near_duplicate_design_5_21": lambda: Dataset.from_arrays(
+        *near_duplicate_design(21, 5, copies=1)),
     "near_duplicate_dataset_3": lambda: near_duplicate_dataset(3, 60),
     "weighted_352": lambda: random_dataset(352, n=10, weighted=True),
     "weighted_7": lambda: random_dataset(7, n=80, weighted=True),
@@ -103,7 +103,7 @@ PIN_DESIGNS = {
 
 
 def _families():
-    near = {f"design_{s}": (lambda s=s: build_dataset(zip(*near_duplicate_design(s))))
+    near = {f"design_{s}": (lambda s=s: Dataset.from_arrays(*near_duplicate_design(s)))
             for s in range(5)}
     near.update({f"dataset_{s}": (lambda s=s: near_duplicate_dataset(s, 200))
                  for s in range(5)})

@@ -126,6 +126,24 @@ def test_check_accepts_near_duplicate_fixture(capsys):
     assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
+def test_check_reads_rows_in_any_order(tmp_path, capsys):
+    # fit sorts its rows; check sorts them too, so a fit column saved in
+    # data order is judged as the sorted file is
+    header, *rows = (FIXTURES / "check_near_duplicates.csv").read_text().splitlines()
+    src = tmp_path / "in.csv"
+    reports = []
+    for order in (rows, [rows[i] for i in (3, 0, 5, 2, 4, 1)]):
+        src.write_text("\n".join([header, *order]) + "\n")
+        assert main(["check", "--input", str(src)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[0]
+    # a duplicate x is still refused, wherever it stands
+    src.write_text("\n".join([header, *rows, rows[2]]) + "\n")
+    assert main(["check", "--input", str(src)]) == 2
+    assert capsys.readouterr().err == (f"input error: {src}: design points must be strictly "
+                                       "increasing (merge duplicates first)\n")
+
+
 def test_tol_flag_is_recorded(tmp_path):
     out = tmp_path / "n12.json"
     argv = ["fit", "--input", str(FIXTURES / "fit_n12.csv"), "--output", str(out),
@@ -365,9 +383,10 @@ def test_csv_from_a_pipe_keeps_every_row(tmp_path):
         # the csv module refuses fields over 131072 characters
         ("x,y\n" + "a" * 140000 + ",1\n", "line 2: field larger than field limit (131072)"),
         ("x," + "y" * 140000 + "\n0.1,1\n", "line 1: field larger than field limit (131072)"),
+        ("x,y\n0.3,1.0\n", "need at least 2 distinct design points"),
     ],
     ids=["text", "field_count", "three_fields", "empty_field", "inf", "nan", "overflow",
-         "empty_body", "header_only", "oversized_field", "oversized_header"],
+         "empty_body", "header_only", "oversized_field", "oversized_header", "one_row"],
 )
 def test_malformed_csv_messages(tmp_path, capsys, body, message):
     src = tmp_path / "bad.csv"
@@ -1038,10 +1057,9 @@ def test_public_names_are_pinned():
         "InvelopeSample", "KINK_TOL", "KKT_TOL", "KktReport", "KktSums", "RateStudyResult",
         "SCALE_LIMIT", "ScenarioSpec", "SolverError", "SolverTrace", "__version__",
         "argmin_estimator", "boundary_diagnostics", "boundary_inconsistency_study",
-        "build_dataset", "characterization_report", "evaluate", "fit_convex_lse",
-        "generate_scenario", "invelope_study", "kkt_sums", "left_derivative",
-        "local_error_study", "rate_study", "scaling_constants", "simulate_invelope",
-        "true_mean",
+        "characterization_report", "evaluate", "fit_convex_lse", "generate_scenario",
+        "invelope_study", "kkt_sums", "left_derivative", "local_error_study", "rate_study",
+        "scaling_constants", "simulate_invelope", "true_mean",
     ]
 
 

@@ -136,7 +136,9 @@ class TestScalingConstants:
 
     @pytest.mark.parametrize("r,sigma,deriv", [(3, 1.0, 1.0), (2, 0.0, 1.0),
                                                (2, -1.0, 1.0), (2, 1.0, 0.0),
-                                               (1, 1.0, 1.0)])
+                                               (1, 1.0, 1.0), (2, np.nan, 1.0),
+                                               (2, np.inf, 1.0), (2, 1.0, np.nan),
+                                               (2, 1.0, np.inf)])
     def test_rejects_bad_arguments(self, r, sigma, deriv):
         with pytest.raises(ValueError):
             scaling_constants(r, sigma, deriv)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from convexreg import (
     ConvexFit,
     Dataset,
-    build_dataset,
     evaluate,
     left_derivative,
 )
@@ -37,44 +36,32 @@ def vee_fit():
 
 class TestBuildDataset:
     def test_sorts_pairs(self):
-        ds = build_dataset([(0.2, 1.0), (0.1, 0.0), (0.3, 2.0)])
+        ds = Dataset.from_arrays([0.2, 0.1, 0.3], [1.0, 0.0, 2.0])
         assert np.array_equal(ds.x, [0.1, 0.2, 0.3])
         assert np.array_equal(ds.y, [0.0, 1.0, 2.0])
         assert np.array_equal(ds.weights, [1.0, 1.0, 1.0])
 
     def test_rejects_single_distinct_x(self):
         with pytest.raises(ValueError, match="distinct"):
-            build_dataset([(0.5, 1.0), (0.5, 3.0)])
+            Dataset.from_arrays([0.5, 0.5], [1.0, 3.0])
 
     def test_merges_duplicates_into_weighted_mean(self):
-        ds = build_dataset([(0.1, 0.0), (0.2, 4.0), (0.2, 6.0), (0.4, 1.0)])
+        ds = Dataset.from_arrays([0.1, 0.2, 0.2, 0.4], [0.0, 4.0, 6.0, 1.0])
         assert np.array_equal(ds.x, [0.1, 0.2, 0.4])
         assert np.array_equal(ds.y, [0.0, 5.0, 1.0])
         assert np.array_equal(ds.weights, [1.0, 2.0, 1.0])
 
     def test_rejects_out_of_range_x(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            build_dataset([(0.1, 0.0), (1.2, 1.0)])
+            Dataset.from_arrays([0.1, 1.2], [0.0, 1.0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            build_dataset([(0.1, np.nan), (0.4, 1.0)])
+            Dataset.from_arrays([0.1, 0.4], [np.nan, 1.0])
 
     def test_rejects_too_few_points(self):
-        with pytest.raises(ValueError):
-            build_dataset([(0.3, 1.0)])
-
-    def test_array_list_and_zip_give_identical_datasets(self):
-        rng = np.random.default_rng(3)
-        x = rng.random(500)
-        x[::50] = x[1::50]  # duplicates to merge
-        y = rng.standard_normal(500)
-        datasets = [build_dataset(np.column_stack([x, y])),
-                    build_dataset(list(zip(x.tolist(), y.tolist()))),
-                    build_dataset(zip(x, y))]
-        for ds in datasets[1:]:
-            for field in ("x", "y", "weights"):
-                assert getattr(ds, field).tobytes() == getattr(datasets[0], field).tobytes()
+        with pytest.raises(ValueError, match="at least 2"):
+            Dataset.from_arrays([0.3], [1.0])
 
     @given(st.integers(0, 10_000), st.integers(3, 60), st.booleans())
     def test_from_arrays_equals_the_unique_merge_byte_for_byte(self, seed, n, duplicates):
@@ -166,14 +153,13 @@ class TestBuildDataset:
 
     @pytest.mark.parametrize("points, match", [
         (np.array([[0.3, 1.0]]), "at least 2"),
-        (np.array([0.1, 0.4, 0.7]), "pairs"),
-        (np.array([[0.1, 0.0, 1.0], [0.4, 1.0, 2.0]]), "pairs"),
         (np.array([[0.5, 1.0], [0.5, 3.0]]), "distinct"),
         (np.array([[0.1, np.inf], [0.4, 1.0]]), "finite"),
     ])
     def test_array_input_errors(self, points, match):
+        # the column views of an (n, 2) array, as `convexreg fit` passes them
         with pytest.raises(ValueError, match=match):
-            build_dataset(points)
+            Dataset.from_arrays(points[:, 0], points[:, 1])
 
 
 class TestEvaluate:
@@ -206,6 +192,11 @@ class TestEvaluate:
             evaluate(fit, ds, -0.01)
         with pytest.raises(ValueError):
             evaluate(fit, ds, 1.01)
+        # NaN fails every comparison, so only a two-sided test refuses it
+        for t in (np.nan, np.array([0.2, np.nan, 0.6])):
+            for query in (evaluate, left_derivative):
+                with pytest.raises(ValueError, match=r"^evaluation points must lie in \[0, 1\]$"):
+                    query(fit, ds, t)
 
     def test_rejects_mismatched_lengths(self):
         fit, _ = vee_fit()

@@ -526,3 +526,20 @@ def test_invelope_study_rejects_an_unknown_scenario_before_any_task(monkeypatch,
     monkeypatch.setattr(simulation, "_run_tasks", never)
     with pytest.raises(ValueError, match=rf"^scenario .*{re.escape(repr(scenario))}$"):
         invelope_study(scenario, 200, 2)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_invelope_study_rejects_a_non_finite_c_before_any_task(monkeypatch, c):
+    # nan fails every comparison, so only a two-sided test refuses it; the
+    # grid would draw non-finite responses from nan or inf
+    import convexreg.simulation as simulation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(simulation, "_run_tasks", never)
+    message = rf"^c must be strictly positive and finite, got {c}$"
+    with pytest.raises(ValueError, match=message):
+        invelope_study("vanishing", 200, 2, c=c)
+    with pytest.raises(ValueError, match=message):
+        simulate_invelope("vanishing", 200, 0, 2, c)

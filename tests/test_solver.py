@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from convexreg import (
     Dataset,
     SolverError,
-    build_dataset,
     fit_convex_lse,
     kkt_sums,
 )
@@ -115,7 +114,7 @@ def test_batch_entry_that_solves_nonpositive_is_removed(monkeypatch):
 def test_tiny_first_gap_certifies(n, seed):
     # the first two points sit ~1e-11 apart, so the base slope is of order
     # 1e10; rebuilding fitted values from the hinge form cancelled there
-    ds = build_dataset(zip(*near_duplicate_design(seed, n, copies=1)))
+    ds = Dataset.from_arrays(*near_duplicate_design(seed, n, copies=1))
     fit, trace = fit_convex_lse(ds)
     _assert_certified(ds, fit, trace)
     oracle_fitted, oracle_objective = enumerate_convex_lse(ds)
@@ -451,14 +450,12 @@ def test_noisy_quadratic_reaches_below_the_floored_objective():
     rng = np.random.default_rng(20261018)
     x = rng.random(n)
     y = 3.0 * (x - 0.5) ** 2 + 0.3 * rng.standard_normal(n)
-    _, trace = fit_convex_lse(build_dataset(zip(x, y)))
+    _, trace = fit_convex_lse(Dataset.from_arrays(x, y))
     assert trace.final_objective < 1787.15255
 
 
 def test_weighted_merge_matches_weighted_oracle():
-    ds = build_dataset(
-        [(0.1, 0.0), (0.2, 4.0), (0.2, 6.0), (0.45, 1.0), (0.7, -1.0), (0.9, 3.0)]
-    )
+    ds = Dataset.from_arrays([0.1, 0.2, 0.2, 0.45, 0.7, 0.9], [0.0, 4.0, 6.0, 1.0, -1.0, 3.0])
     fit, _ = fit_convex_lse(ds)
     oracle_fitted, _ = enumerate_convex_lse(ds)
     assert np.max(np.abs(fit.fitted - oracle_fitted)) < 1e-8
