@@ -5,9 +5,10 @@ exactly), JSON keys are sorted, and CSV files start with one comment line
 embedding the fully resolved run configuration, so identical runs produce
 identical bytes and any artifact can be replayed from its own header.
 
-JSON text is produced in pieces by one serializer: :func:`canonical_json`
-joins them and :func:`write_json` writes them without joining, so a large
-artifact is never held as one string, copied or encoded in one piece.
+JSON text is produced in ASCII byte pieces by one serializer:
+:func:`canonical_json` joins and decodes them once and :func:`write_json`
+writes them to a binary file without joining, so a large artifact is never
+held as one string, copied or encoded again.
 A 1-d ``float64`` array (the per-point data of a fit) is checked for
 finiteness in one vectorized pass and then formatted in chunks of
 ``_CHUNK`` values by :func:`_format_chunk`, a numpy kernel that prints the
@@ -107,15 +108,15 @@ def _tables():
 
 
 def _format_chunk(v):
-    """``",%.17g"`` of every value of a finite 1-d float64 array, joined."""
+    """``b",%.17g"`` of every value of a finite 1-d float64 array, joined."""
     bits = v.view(np.int64)
     if (bits == bits[0]).all():
-        return (",%.17g" % v[0]) * v.size
+        return (b",%.17g" % v[0]) * v.size
     n, i, ok = _digits(v)
     rows = _rows(n, i, np.signbit(v))
     for k in np.flatnonzero(~ok):
-        rows[:, k] = np.frombuffer((",%.17g" % v[k]).encode().ljust(44, b"\0"), np.uint32)
-    return rows.T.tobytes().translate(None, b"\0").decode("ascii")
+        rows[:, k] = np.frombuffer((b",%.17g" % v[k]).ljust(44, b"\0"), np.uint32)
+    return rows.T.tobytes().translate(None, b"\0")
 
 
 def _digits(v):
@@ -176,44 +177,44 @@ def _rows(n, i, negative):
 
 
 def _json_pieces(obj):
-    """Yield the canonical JSON text of ``obj`` in pieces."""
+    """Yield the canonical JSON text of ``obj`` in ASCII byte pieces."""
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64:
         finite = np.isfinite(obj)
         if not finite.all():
             fmt(obj[np.argmin(finite)])  # raises fmt's error for the first bad value
-        yield "["
+        yield b"["
         for start in range(0, obj.size, _CHUNK):
             text = _format_chunk(obj[start:start + _CHUNK])
             yield text if start else text[1:]  # no comma before the first value
-        yield "]"
+        yield b"]"
     elif isinstance(obj, np.ndarray):
         yield from _json_pieces(list(obj))
     elif isinstance(obj, dict):
-        yield "{"
+        yield b"{"
         for i, (k, v) in enumerate(sorted(obj.items(), key=lambda kv: str(kv[0]))):
-            yield f"{',' if i else ''}{json.dumps(str(k))}:"
+            yield f"{',' if i else ''}{json.dumps(str(k))}:".encode()
             yield from _json_pieces(v)
-        yield "}"
+        yield b"}"
     elif isinstance(obj, (list, tuple)):
-        yield "["
+        yield b"["
         for i, v in enumerate(obj):
             if i:
-                yield ","
+                yield b","
             yield from _json_pieces(v)
-        yield "]"
+        yield b"]"
     elif obj is None:
-        yield "null"
+        yield b"null"
     elif isinstance(obj, str):
-        yield json.dumps(obj)
+        yield json.dumps(obj).encode()
     elif isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
-        yield fmt(obj)
+        yield fmt(obj).encode()
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def canonical_json(obj) -> str:
     """JSON text with sorted keys and 17-significant-digit floats."""
-    return "".join(_json_pieces(obj))
+    return b"".join(_json_pieces(obj)).decode("ascii")
 
 
 # Both writers build every piece of their text before opening the file: a
@@ -222,8 +223,8 @@ def canonical_json(obj) -> str:
 
 def write_json(path, payload):
     pieces = list(_json_pieces(payload))
-    pieces.append("\n")
-    with open(path, "w", encoding="utf-8") as fh:
+    pieces.append(b"\n")
+    with open(path, "wb") as fh:
         fh.writelines(pieces)
 
 

@@ -9,9 +9,9 @@ fits the convex estimator to scaled noise on a uniform grid, which
 approximates the second and third derivatives of the limiting invelope
 process at a point: with the polynomial drift of case (a) on [-c, c]
 ("vanishing", which reads r and c) or with none on [0, 1], queried at x0
-("affine", which reads x0).
-The local error and boundary studies record argmin errors and boundary
-overshoots per replicate.
+("affine", which reads x0).  The local error study records value, slope and
+argmin errors at the minimum 1/2, and the boundary study how often the value
+at 0 overshoots the true mean.
 
 Randomness is counter-based (Philox) and keyed by entropy tuples so every
 draw is reproducible bit-for-bit and replicates can run in any order or in
@@ -25,15 +25,20 @@ parallel without changing results:
 
 Every study's replicate is one task ``(n, replicate, mix_seed(seed, n,
 replicate), ...)``, the study's own parameters following, and
-:func:`_replicate_tasks` builds them all, sizes outermost.  A study first
-runs the checks its tasks would (``ScenarioSpec``'s at the smallest size, or
-:func:`_check_invelope`), so a bad parameter fails before any task does.
-One helper, :func:`_run_tasks`, runs them: serially by default, or on
-``CONVEXREG_THREADS`` forked worker processes, each taking one strided share
-of the tasks.  Results are put back in task order, so the worker count never
-changes the output.  A study function's parameters and defaults are the
-flags and defaults of its CLI subcommand, and the command records the
-arguments the study ran with as the artifact's configuration.
+:func:`_replicate_tasks` builds them all, sizes outermost.  The three
+finite-sample studies share one task, :func:`_point_task`, on parameters
+``(kind, r, sigma, x0)``: it draws and fits the scenario and returns the
+value, slope and argmin that :func:`_read_at` reads at x0 (the invelope
+simulator reads its grid point with it too); each study computes its own
+statistic from these rows.  A study first runs the checks its tasks would
+(``ScenarioSpec``'s at the smallest size, or :func:`_check_invelope`), so a
+bad parameter fails before any task does.  One helper, :func:`_run_tasks`,
+runs them: serially by default, or on ``CONVEXREG_THREADS`` forked worker
+processes, each taking one strided share of the tasks.  Results are put back
+in task order, so the worker count never changes the output.  A study
+function's parameters and defaults are the flags and defaults of its CLI
+subcommand, and the command records the arguments the study ran with as the
+artifact's configuration.
 """
 
 import math
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import argmin_estimator, boundary_diagnostics
+from .inference import argmin_estimator
 from .model import Dataset, evaluate, left_derivative
 from .solver import certificate_scale, fit_convex_lse
 
@@ -250,6 +255,22 @@ def generate_scenario(spec: ScenarioSpec) -> Dataset:
     return Dataset.from_arrays(x, y)
 
 
+def _read_at(fit, dataset, point):
+    """The fit's value and left derivative at ``point`` in [0, 1], and the
+    argmin location: the three pointwise reads the studies make."""
+    return (evaluate(fit, dataset, point), left_derivative(fit, dataset, point),
+            argmin_estimator(fit, dataset).location)
+
+
+def _point_task(args):
+    """One finite-sample replicate: draw the scenario, fit it and read the
+    fit at x0."""
+    n, replicate, seed, kind, r, sigma, x0 = args
+    dataset = generate_scenario(ScenarioSpec(kind, n, seed, r=r, sigma=sigma))
+    fit, _ = fit_convex_lse(dataset)
+    return (n, replicate, seed, *_read_at(fit, dataset, x0))
+
+
 # ---------------------------------------------------------------------------
 # rate-of-convergence study
 # ---------------------------------------------------------------------------
@@ -270,15 +291,6 @@ class RateStudyResult:
     slope: float
     slope_stderr: float
     skipped: int
-
-
-def _rate_task(args):
-    n, replicate, seed, kind, r, sigma, x0 = args
-    spec = ScenarioSpec(kind=kind, n=n, seed=seed, r=r, sigma=sigma)
-    dataset = generate_scenario(spec)
-    fit, _ = fit_convex_lse(dataset)
-    bias = abs(evaluate(fit, dataset, x0) - true_mean(spec, x0))
-    return n, replicate, seed, float(bias)
 
 
 def pooled_log_slope(log_n, log_bias):
@@ -345,11 +357,12 @@ def rate_study(scenario: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
         raise ValueError(f"x0 must lie in [0, 1], got {x0}")
     probe = _probe_spec(scenario, grid, r=r, sigma=sigma)
     tasks = _replicate_tasks(grid, replicates, seed, scenario, r, sigma, x0)
-    zero_floor = 1e-12 * (1.0 + abs(true_mean(probe, x0)))
-    rows = _run_tasks(_rate_task, tasks)
+    truth = true_mean(probe, x0)
+    zero_floor = 1e-12 * (1.0 + abs(truth))
     records = []
     skipped = 0
-    for n, rep, child, bias in rows:
+    for n, rep, child, value, _, _ in _run_tasks(_point_task, tasks):
+        bias = abs(value - truth)
         if bias <= zero_floor:
             skipped += 1
             continue
@@ -406,14 +419,12 @@ def _run_invelope(t, responses, delta, query, r, c):
     dataset = Dataset.from_arrays(u, responses)
     fit, trace = fit_convex_lse(dataset)
     idx = int(np.argmin(np.abs(t - query)))
-    h2 = float(fit.fitted[idx])
-    h3 = left_derivative(fit, dataset, u[idx]) / width
-    loc = argmin_estimator(fit, dataset).location * width + lo
+    h2, slope, loc = _read_at(fit, dataset, u[idx])
     cum = trace.certificate.cum
     scale = certificate_scale(dataset)
     kink_gap = float(np.max(np.abs(cum[np.asarray(fit.kinks) - 1]))) if fit.kinks else 0.0
     return InvelopeSample(
-        r=r, c=c, m=len(t), h2_at_0=h2, h3_at_0=h3, argmin_h2=float(loc),
+        r=r, c=c, m=len(t), h2_at_0=h2, h3_at_0=slope / width, argmin_h2=loc * width + lo,
         domain=(lo, hi), query_point=float(t[idx]),
         min_envelope_gap=float(cum.min() / scale),
         kink_envelope_gap=kink_gap / scale,
@@ -512,28 +523,17 @@ class LocalErrorStudy:
         return {n: np.asarray(v) for n, v in sorted(out.items())}
 
 
-def _local_error_task(args):
-    n, replicate, seed, r, sigma = args
-    dataset = generate_scenario(ScenarioSpec(kind="vanishing", n=n, seed=seed, r=r, sigma=sigma))
-    fit, _ = fit_convex_lse(dataset)
-    # the mean and its slope vanish at the minimum 1/2: the errors are |value|, |slope|
-    value_err = abs(evaluate(fit, dataset, 0.5))
-    deriv_err = abs(left_derivative(fit, dataset, 0.5))
-    am = argmin_estimator(fit, dataset)
-    return LocalErrorRecord(
-        n=n, replicate=replicate, seed=seed,
-        value_err=float(value_err), deriv_err=float(deriv_err),
-        argmin_location=float(am.location), argmin_err=float(abs(am.location - 0.5)),
-    )
-
-
 def local_error_study(r: int = 2, n_grid=(1000, 4000, 16000), replicates: int = 100,
                       seed: int = 0, sigma: float = 1.0) -> LocalErrorStudy:
     """Per-replicate value, derivative and argmin errors at 1/2, the minimum
     of the flat-bottomed scenario."""
     _probe_spec("vanishing", n_grid, r=r, sigma=sigma)
-    records = _run_tasks(_local_error_task, _replicate_tasks(n_grid, replicates, seed, r, sigma))
-    return LocalErrorStudy(r=r, records=tuple(records))
+    tasks = _replicate_tasks(n_grid, replicates, seed, "vanishing", r, sigma, 0.5)
+    # the mean and its slope vanish at the minimum 1/2: the errors are |value|, |slope|
+    records = tuple(
+        LocalErrorRecord(n, rep, child, abs(value), abs(slope), loc, abs(loc - 0.5))
+        for n, rep, child, value, slope, loc in _run_tasks(_point_task, tasks))
+    return LocalErrorStudy(r=r, records=records)
 
 
 @dataclass(frozen=True)
@@ -542,15 +542,6 @@ class BoundaryStudyResult:
     frequencies: dict[int, float]
     counts: dict[int, int]
     replicates: int
-
-
-def _boundary_task(args):
-    n, _, seed, epsilon = args
-    spec = ScenarioSpec("boundary", n, seed)
-    dataset = generate_scenario(spec)
-    fit, _ = fit_convex_lse(dataset)
-    value0 = boundary_diagnostics(fit, dataset).value_at_0
-    return n, bool(value0 > (1.0 + epsilon) * true_mean(spec, 0.0))
 
 
 def boundary_inconsistency_study(n_grid=(500, 2000, 8000), replicates: int = 200,
@@ -562,13 +553,14 @@ def boundary_inconsistency_study(n_grid=(500, 2000, 8000), replicates: int = 200
     strictly decreasing at 0, so a consistent estimator would drive the
     frequency to zero; the convex fit keeps it bounded away.
     """
-    if not epsilon >= 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    _probe_spec("boundary", n_grid)
-    tasks = _replicate_tasks(n_grid, replicates, seed, epsilon)
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be nonnegative and finite, got {epsilon}")
+    probe = _probe_spec("boundary", n_grid)
+    threshold = (1.0 + epsilon) * true_mean(probe, 0.0)
+    tasks = _replicate_tasks(n_grid, replicates, seed, "boundary", probe.r, probe.sigma, 0.0)
     counts: dict[int, int] = {}
-    for n, hit in _run_tasks(_boundary_task, tasks):
-        counts[n] = counts.get(n, 0) + int(hit)
+    for n, _, _, value, _, _ in _run_tasks(_point_task, tasks):
+        counts[n] = counts.get(n, 0) + int(value > threshold)
     freqs = {n: counts[n] / replicates for n in counts}
     return BoundaryStudyResult(epsilon=epsilon, frequencies=freqs,
                                counts=counts, replicates=replicates)

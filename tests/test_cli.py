@@ -841,12 +841,8 @@ def _stub_task(fn, task):
     import convexreg.simulation as simulation
 
     n, rep, seed = task[:3]
-    if fn is simulation._rate_task:
-        return n, rep, seed, 1.0 / n
-    if fn is simulation._local_error_task:
-        return simulation.LocalErrorRecord(n, rep, seed, 0.0, 0.0, 0.5, 0.0)
-    if fn is simulation._boundary_task:
-        return n, False
+    if fn is simulation._point_task:
+        return n, rep, seed, 1.0 / n, 0.0, 0.5
     r, c = task[4:6]
     return rep, seed, simulation.InvelopeSample(r, c, n, float(rep), 0.0, 0.0, (-c, c),
                                                 0.0, 0.0, 0.0)

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import os
 import re
 import signal
@@ -14,10 +15,13 @@ import convexreg
 from convexreg import (
     Dataset,
     ScenarioSpec,
+    argmin_estimator,
     boundary_inconsistency_study,
+    evaluate,
     fit_convex_lse,
     generate_scenario,
     invelope_study,
+    left_derivative,
     local_error_study,
     rate_study,
     simulate_invelope,
@@ -26,6 +30,7 @@ from convexreg import (
 from convexreg.simulation import (
     AMPLITUDE,
     DEFAULT_RATE_GRID,
+    LocalErrorRecord,
     WorkerError,
     _int_power,
     _run_tasks,
@@ -490,9 +495,9 @@ def _spy_tasks(monkeypatch):
                             sigma=0.5, x0=0.3),
          (20, 40), 20, ("affine", 2, 0.5, 0.3)),
         (lambda: local_error_study(2, (20, 40), 3, seed=3, sigma=0.7),
-         (20, 40), 3, (2, 0.7)),
+         (20, 40), 3, ("vanishing", 2, 0.7, 0.5)),
         (lambda: boundary_inconsistency_study((20, 40), 3, seed=3, epsilon=0.1),
-         (20, 40), 3, (0.1,)),
+         (20, 40), 3, ("boundary", 2, 1.0, 0.0)),
         (lambda: invelope_study("affine", 200, 3, seed=3, x0=0.25),
          (200,), 3, ("affine", 2, 4.0, 0.25)),
     ],
@@ -543,3 +548,62 @@ def test_invelope_study_rejects_a_non_finite_c_before_any_task(monkeypatch, c):
         invelope_study("vanishing", 200, 2, c=c)
     with pytest.raises(ValueError, match=message):
         simulate_invelope("vanishing", 200, 0, 2, c)
+
+
+@pytest.mark.parametrize("epsilon", [np.inf, np.nan, -1.0])
+def test_boundary_study_rejects_a_non_finite_or_negative_epsilon_before_any_task(
+        monkeypatch, epsilon):
+    # an infinite threshold would pass every replicate and report 0 at every size
+    import convexreg.simulation as simulation
+
+    def never(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(simulation, "_run_tasks", never)
+    with pytest.raises(ValueError,
+                       match=rf"^epsilon must be nonnegative and finite, got {epsilon}$"):
+        boundary_inconsistency_study((100, 200), 3, epsilon=epsilon)
+
+
+def _read_by_hand(kind, n, seed, replicate, r, sigma, point):
+    """One study replicate recomputed from the public pieces: the spec, and
+    the fit's value, left derivative and argmin at ``point``."""
+    spec = ScenarioSpec(kind, n, mix_seed(seed, n, replicate), r=r, sigma=sigma)
+    dataset = generate_scenario(spec)
+    fit, _ = fit_convex_lse(dataset)
+    return (spec, evaluate(fit, dataset, point), left_derivative(fit, dataset, point),
+            argmin_estimator(fit, dataset).location)
+
+
+def test_rate_records_are_the_bias_read_off_each_fit():
+    study = rate_study("vanishing", n_grid=(60, 120), replicates=20, x0=0.3, seed=7, r=4,
+                       sigma=0.5)
+    records = {(rec.n, rec.replicate): rec for rec in study.records}
+    for n in (60, 120):
+        for rep in (0, 13):
+            spec, value, _, _ = _read_by_hand("vanishing", n, 7, rep, 4, 0.5, 0.3)
+            bias = abs(value - true_mean(spec, 0.3))
+            rec = records[n, rep]
+            assert (rec.seed, rec.bias, rec.log_abs_bias) == (spec.seed, bias, math.log(bias))
+
+
+def test_local_error_records_are_the_reads_at_one_half():
+    study = local_error_study(4, (60, 120), 3, seed=7, sigma=0.5)
+    records = {(rec.n, rec.replicate): rec for rec in study.records}
+    for n in (60, 120):
+        for rep in (0, 2):
+            spec, value, slope, loc = _read_by_hand("vanishing", n, 7, rep, 4, 0.5, 0.5)
+            assert records[n, rep] == LocalErrorRecord(n, rep, spec.seed, abs(value), abs(slope),
+                                                       loc, abs(loc - 0.5))
+
+
+def test_boundary_counts_are_the_overshoots_at_zero():
+    # at epsilon = 0.5 one of the four replicates stays below the threshold
+    study = boundary_inconsistency_study((60, 120), 2, seed=7, epsilon=0.5)
+    expected = {}
+    for n in (60, 120):
+        for rep in (0, 1):
+            spec, value, _, _ = _read_by_hand("boundary", n, 7, rep, 2, 1.0, 0.0)
+            expected[n] = expected.get(n, 0) + int(value > 1.5 * true_mean(spec, 0.0))
+    assert study.counts == expected
+    assert study.frequencies == {n: k / 2 for n, k in expected.items()}
