@@ -539,6 +539,49 @@ def test_study_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, argv):
     assert artifacts["1"] == artifacts["2"] == artifacts["3"]
 
 
+# the study commands whose sha256 digests tests/fixtures/study_digests.json
+# records, as `_study_digests` computes them
+DIGEST_COMMANDS = {
+    "rates_vanishing": ["rates", "--scenario", "vanishing", "--n-grid", "100,200",
+                        "--replicates", "20", "--seed", "5"],
+    "rates_affine_x0": ["rates", "--scenario", "affine", "--n-grid", "100,200",
+                        "--replicates", "20", "--seed", "5", "--x0", "0.3"],
+    "invelope": ["invelope", "--m", "300", "--replicates", "6", "--seed", "5"],
+    "invelope_refine": ["invelope", "--m", "300", "--replicates", "6", "--seed", "5",
+                        "--refine"],
+    "invelope_affine_refine": ["invelope", "--scenario", "affine", "--m", "300",
+                               "--replicates", "6", "--seed", "5", "--refine"],
+    "argmin": ["argmin", "--n-grid", "200,400", "--replicates", "6", "--seed", "5"],
+    "boundary": ["boundary", "--n-grid", "200,400", "--replicates", "6", "--seed", "5"],
+}
+
+
+def _study_digests(argv, capsys):
+    """sha256 of the ``.csv``, the ``.json`` and the stdout of one study
+    command run through ``main`` with the relative ``--output artifact``, so
+    the embedded config is the same in any working directory."""
+    import hashlib
+
+    capsys.readouterr()
+    assert main(argv + ["--output", "artifact"]) == 0
+    stdout = capsys.readouterr().out.encode()
+    return {"csv": hashlib.sha256(Path("artifact.csv").read_bytes()).hexdigest(),
+            "json": hashlib.sha256(Path("artifact.json").read_bytes()).hexdigest(),
+            "stdout": hashlib.sha256(stdout).hexdigest()}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(DIGEST_COMMANDS))
+def test_study_bytes_match_the_recorded_digests(tmp_path, monkeypatch, capsys, name, threads):
+    # every artifact and stdout byte of each study command, pinned against
+    # digests recorded before the study results were refactored
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CONVEXREG_THREADS", threads)
+    recorded = json.loads((FIXTURES / "study_digests.json").read_text())
+    assert sorted(recorded) == sorted(DIGEST_COMMANDS)
+    assert _study_digests(DIGEST_COMMANDS[name], capsys) == recorded[name]
+
+
 def test_a_pooled_replicate_solver_failure_exits_3(tmp_path, monkeypatch, capsys):
     # the workers are forked, so they run the patched solver
     import convexreg.simulation as simulation
