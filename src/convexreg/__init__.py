@@ -33,8 +33,8 @@ _EXPORTS = {
     "simulation": (
         "DEFAULT_RATE_GRID",
         "InvelopeSample",
-        "RateStudyResult",
         "ScenarioSpec",
+        "StudyResult",
         "boundary_inconsistency_study",
         "generate_scenario",
         "invelope_study",

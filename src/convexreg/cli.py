@@ -4,8 +4,11 @@ Subcommands: ``fit`` (fit a CSV of x,y and emit the certified fit),
 ``check`` (verify a supplied fit column against every characterization
 condition), ``rates`` (log-bias rate study), ``invelope`` (limit-process
 simulator), ``argmin`` (minimizer scaling study), ``boundary`` (boundary
-overshoot frequencies).  An omitted study flag takes its study function's
-default; the parser declares none.
+overshoot frequencies).  Every study command is :func:`cmd_study`: it runs the
+study function ``STUDIES`` names for it and writes the ``StudyResult`` it
+returns, the header and rows as ``<base>.csv``, the summary beside the
+config as ``<base>.json``, and prints its lines.  An omitted study flag takes
+its study function's default; the parser declares none.
 
 Exit codes: 0 success and certified / all checks passed, 1 check command
 completed with failing conditions, 2 malformed input or flags (an output file
@@ -37,8 +40,11 @@ from .model import KINK_TOL, KKT_TOL, Dataset, evaluate, left_derivative
 from .output import canonical_json, write_csv, write_json
 from .solver import SolverError, fit_convex_lse
 
-# The study commands import ``simulation`` (and with it ``inference`` and
-# ``numpy.random``) when they run, so ``fit`` and ``check`` never load it.
+# Each study command and the ``simulation`` function it runs.  The commands
+# import ``simulation`` (and with it ``inference`` and ``numpy.random``) when
+# they run, so ``fit`` and ``check`` never load it.
+STUDIES = {"rates": "rate_study", "invelope": "invelope_study",
+           "argmin": "local_error_study", "boundary": "boundary_inconsistency_study"}
 
 
 class InputError(ValueError):
@@ -168,6 +174,14 @@ def _write_study(config, header, rows, summary):
     _write(write_json, base + ".json", {"config": config, **summary})
 
 
+def _verdict(report):
+    """The ``passed`` flag and per-condition results of a characterization
+    report, as ``fit`` and ``check`` write them."""
+    return {"passed": report.passed,
+            "conditions": {c.name: {"passed": c.passed, "worst": c.worst}
+                           for c in report.conditions}}
+
+
 def cmd_fit(args) -> int:
     data = _read_csv_columns(args.input, ("x", "y"))
     try:
@@ -213,11 +227,7 @@ def cmd_fit(args) -> int:
             },
             "objective": trace.final_objective,
             "iterations": trace.iterations,
-            "certificate": {
-                "passed": report.passed,
-                "conditions": {c.name: {"passed": c.passed, "worst": c.worst}
-                               for c in report.conditions},
-            },
+            "certificate": _verdict(report),
         },
     )
     grid = np.linspace(0.0, 1.0, 512)
@@ -242,10 +252,8 @@ def cmd_check(args) -> int:
     payload = {
         "config": {"command": "check", "input": args.input, "tol": args.tol,
                    "kink_tol": KINK_TOL},
-        "passed": report.passed,
         "scale": report.scale,
-        "conditions": {c.name: {"passed": c.passed, "worst": c.worst}
-                       for c in report.conditions},
+        **_verdict(report),
     }
     if args.output:
         _write(write_json, args.output, payload)
@@ -254,116 +262,12 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_rates(args) -> int:
-    from .simulation import rate_study
+def cmd_study(args) -> int:
+    from . import simulation
 
-    result, config = _run_study(rate_study, args)
-    _write_study(
-        config,
-        ("scenario", "r", "n", "replicate", "seed", "bias", "log_n", "log_abs_bias"),
-        [(config["scenario"], config["r"], rec.n, rec.replicate, rec.seed,
-          rec.bias, rec.log_n, rec.log_abs_bias) for rec in result.records],
-        {"slope": result.slope, "stderr": result.slope_stderr,
-         "skipped": result.skipped, "records": len(result.records)},
-    )
-    print(f"slope {result.slope:.6f} stderr {result.slope_stderr:.6f} "
-          f"({len(result.records)} records, {result.skipped} skipped)")
-    return 0
-
-
-def cmd_invelope(args) -> int:
-    from .simulation import invelope_study
-
-    results, config = _run_study(invelope_study, args)
-    h2_all = np.asarray([s.h2_at_0 for _, _, s in results])
-    h2 = h2_all[: config["replicates"]]
-    summary = {
-        "h2_mean": float(h2.mean()),
-        "h2_var": float(h2.var(ddof=1)) if h2.size > 1 else 0.0,
-        "h2_mean_stderr": float(h2.std(ddof=1) / math.sqrt(h2.size)) if h2.size > 1 else 0.0,
-        "replicates": int(h2.size),
-    }
-    lines = [f"h2 mean {summary['h2_mean']:.6f} var {summary['h2_var']:.6f} "
-             f"({h2.size} replicates)"]
-    if config.get("refine"):
-        summary["refinement"] = _refinement(config["m"], h2, h2_all[h2.size:], lines)
-    _write_study(
-        config,
-        ("scenario", "r", "c", "m", "replicate", "seed", "h2", "h3",
-         "argmin", "query_point", "min_envelope_gap", "kink_envelope_gap"),
-        [(config["scenario"], s.r, s.c, s.m, rep, child, s.h2_at_0, s.h3_at_0,
-          s.argmin_h2, s.query_point, s.min_envelope_gap, s.kink_envelope_gap)
-         for rep, child, s in results],
-        summary,
-    )
-    print("\n".join(lines))
-    return 0
-
-
-def _refinement(m, coarse, fine, lines):
-    """Mean and variance of h2 on the m vs the 2m grid against 3 combined SEs."""
-
-    def sem(v):
-        return v.std(ddof=1) / np.sqrt(v.size)
-
-    def sevar(v):
-        fourth = np.mean((v - v.mean()) ** 4)
-        return np.sqrt(max(fourth - v.var(ddof=1) ** 2, 0.0) / v.size)
-
-    out = {}
-    for label, a, b, se in (
-        ("mean", coarse.mean(), fine.mean(), np.hypot(sem(coarse), sem(fine))),
-        ("var", coarse.var(ddof=1), fine.var(ddof=1), np.hypot(sevar(coarse), sevar(fine))),
-    ):
-        out[f"{label}_diff"] = float(abs(a - b))
-        out[f"{label}_budget"] = float(3 * se)
-        verdict = "consistent" if abs(a - b) <= 3 * se else "INCONSISTENT"
-        lines.append(f"h2(0) {label}: m={m}: {a:.4f}  m={2 * m}: {b:.4f}  "
-                     f"|diff| {abs(a - b):.4f} vs 3*SE {3 * se:.4f}  [{verdict}]")
-    out["consistent"] = all(out[f"{k}_diff"] <= out[f"{k}_budget"] for k in ("mean", "var"))
-    return out
-
-
-def cmd_argmin(args) -> int:
-    from .simulation import local_error_study
-
-    study, config = _run_study(local_error_study, args)
-    rate = 1.0 / (2 * config["r"] + 1)
-    table = {}
-    for n, errs in study.by_n("argmin_err").items():
-        scaled = n ** rate * errs
-        table[str(n)] = {
-            "median_raw": float(np.median(errs)),
-            "median_scaled": float(np.median(scaled)),
-            "p95_scaled": float(np.quantile(scaled, 0.95)),
-        }
-    _write_study(
-        config,
-        ("r", "n", "replicate", "seed", "argmin_location", "argmin_err",
-         "scaled_argmin_err", "value_err", "deriv_err"),
-        [(config["r"], rec.n, rec.replicate, rec.seed, rec.argmin_location,
-          rec.argmin_err, rec.n ** rate * rec.argmin_err, rec.value_err, rec.deriv_err)
-         for rec in study.records],
-        {"quantiles": table},
-    )
-    for n, q in table.items():
-        print(f"n={n}: median|argmin err| {q['median_raw']:.5f} "
-              f"scaled median {q['median_scaled']:.4f}")
-    return 0
-
-
-def cmd_boundary(args) -> int:
-    from .simulation import boundary_inconsistency_study
-
-    study, config = _run_study(boundary_inconsistency_study, args)
-    grid = config["n_grid"]
-    _write_study(config, ("n", "count", "replicates", "frequency"),
-                 [(n, study.counts[n], study.replicates, study.frequencies[n]) for n in grid],
-                 {"counts": study.counts, "frequencies": study.frequencies})
-    print(f"model 1 - x + x^2, sigma 1, threshold (1 + {config['epsilon']}) * value at 0")
-    for n in grid:
-        print(f"n={n:6d}: overshoot frequency {study.frequencies[n]:.3f} "
-              f"({study.counts[n]}/{study.replicates})")
+    result, config = _run_study(getattr(simulation, STUDIES[args.command]), args)
+    _write_study(config, result.header, result.rows, result.summary)
+    print("\n".join(result.lines))
     return 0
 
 
@@ -390,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--replicates", type=int)
     common.add_argument("--output", required=True, help="base path for .csv and .json")
+    common.set_defaults(run=cmd_study)
     study = {"parents": [common], "argument_default": argparse.SUPPRESS}
 
     p = sub.add_parser("rates", help="log-bias rate-of-convergence study", **study)
-    p.set_defaults(run=cmd_rates)
     p.add_argument("--scenario", required=True, choices=("vanishing", "affine"))
     p.add_argument("--r", type=int)
     p.add_argument("--n-grid", type=_parse_grid, help="comma-separated sizes")
@@ -401,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=_finite_float)
 
     p = sub.add_parser("invelope", help="limit-process simulator", **study)
-    p.set_defaults(run=cmd_invelope)
     p.add_argument("--scenario", choices=("vanishing", "affine"))
     p.add_argument("--r", type=int)
     p.add_argument("--c", type=_finite_float)
@@ -410,13 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", action="store_true", help="also run the 2m grid, same seeds")
 
     p = sub.add_parser("argmin", help="minimizer scaling study", **study)
-    p.set_defaults(run=cmd_argmin)
     p.add_argument("--r", type=int)
     p.add_argument("--n-grid", type=_parse_grid, help="comma-separated sizes")
     p.add_argument("--sigma", type=_finite_float)
 
     p = sub.add_parser("boundary", help="boundary overshoot frequency study", **study)
-    p.set_defaults(run=cmd_boundary)
     p.add_argument("--n-grid", type=_parse_grid, help="comma-separated sizes")
     p.add_argument("--epsilon", type=_finite_float)
 

@@ -37,8 +37,10 @@ runs them: serially by default, or on ``CONVEXREG_THREADS`` forked worker
 processes, each taking one strided share of the tasks.  Results are put back
 in task order, so the worker count never changes the output.  A study
 function's parameters and defaults are the flags and defaults of its CLI
-subcommand, and the command records the arguments the study ran with as the
-artifact's configuration.
+subcommand.  Every study returns one :class:`StudyResult`, everything its
+command writes but the configuration: the CSV header and rows, the JSON
+summary and the printed lines.  The command records the arguments the study
+ran with as the artifact's configuration.
 """
 
 import math
@@ -271,27 +273,21 @@ def _point_task(args):
     return (n, replicate, seed, *_read_at(fit, dataset, x0))
 
 
+@dataclass(frozen=True)
+class StudyResult:
+    """What a study's command writes and prints: the CSV ``header`` and its
+    ``rows`` (one per replicate, one per size for the boundary study), the
+    JSON ``summary`` written beside the config, and the printed ``lines``."""
+
+    header: tuple[str, ...]
+    rows: tuple[tuple, ...]
+    summary: dict
+    lines: tuple[str, ...]
+
+
 # ---------------------------------------------------------------------------
 # rate-of-convergence study
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RateRecord:
-    n: int
-    replicate: int
-    seed: int
-    bias: float
-    log_n: float
-    log_abs_bias: float
-
-
-@dataclass(frozen=True)
-class RateStudyResult:
-    records: tuple[RateRecord, ...]
-    slope: float
-    slope_stderr: float
-    skipped: int
-
 
 def pooled_log_slope(log_n, log_bias):
     """Plain least-squares slope of log|bias| on log n, with its standard error."""
@@ -341,9 +337,9 @@ def _replicate_tasks(n_grid, replicates, seed, *params):
 
 def rate_study(scenario: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
                x0: float = 0.5, seed: int = 0, r: int = 4,
-               sigma: float = 1.0) -> RateStudyResult:
-    """Fit one estimator per (n, replicate), record log absolute bias at x0,
-    and regress it on log n pooled over every record.
+               sigma: float = 1.0) -> StudyResult:
+    """Fit one estimator per (n, replicate), record log absolute bias at x0
+    in one row each, and regress it on log n pooled over every row.
 
     Replicates with zero bias have no log and are skipped (zero means below
     the floating-point floor 1e-12 * (1 + |true value|), which only noise-free
@@ -359,24 +355,23 @@ def rate_study(scenario: str, n_grid=DEFAULT_RATE_GRID, replicates: int = 100,
     tasks = _replicate_tasks(grid, replicates, seed, scenario, r, sigma, x0)
     truth = true_mean(probe, x0)
     zero_floor = 1e-12 * (1.0 + abs(truth))
-    records = []
+    rows = []
     skipped = 0
     for n, rep, child, value, _, _ in _run_tasks(_point_task, tasks):
         bias = abs(value - truth)
         if bias <= zero_floor:
             skipped += 1
             continue
-        records.append(
-            RateRecord(n=n, replicate=rep, seed=child, bias=bias,
-                       log_n=math.log(n), log_abs_bias=math.log(bias))
-        )
-    if not records:
+        rows.append((scenario, r, n, rep, child, bias, math.log(n), math.log(bias)))
+    if not rows:
         raise ValueError(f"all {skipped} replicates had exactly zero bias; no slope to fit")
-    slope, stderr = pooled_log_slope(
-        [rec.log_n for rec in records], [rec.log_abs_bias for rec in records]
+    slope, stderr = pooled_log_slope([row[6] for row in rows], [row[7] for row in rows])
+    return StudyResult(
+        ("scenario", "r", "n", "replicate", "seed", "bias", "log_n", "log_abs_bias"),
+        tuple(rows),
+        {"slope": slope, "stderr": stderr, "skipped": skipped, "records": len(rows)},
+        (f"slope {slope:.6f} stderr {stderr:.6f} ({len(rows)} records, {skipped} skipped)",),
     )
-    return RateStudyResult(records=tuple(records), slope=slope,
-                           slope_stderr=stderr, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -482,70 +477,106 @@ def _invelope_task(args):
 
 def invelope_study(scenario: str = "vanishing", m: int = 2000, replicates: int = 100,
                    seed: int = 0, r: int = 2, c: float = 4.0, x0: float = 0.5,
-                   refine: bool = False):
-    """``(replicate, seed, sample)`` per replicate of the drift ("vanishing")
-    or zero-drift ("affine") simulator on the m-point grid, with seed
-    ``mix_seed(seed, m, replicate)``; ``refine`` appends the same seeds drawn
-    on the 2m-point grid."""
+                   refine: bool = False) -> StudyResult:
+    """One row per replicate of the drift ("vanishing") or zero-drift
+    ("affine") simulator on the m-point grid, with seed ``mix_seed(seed, m,
+    replicate)``, and the mean and variance of its h2; ``refine`` appends the
+    same seeds drawn on the 2m-point grid and compares h2 on the two grids."""
     _check_invelope(scenario, m, r, c, x0)
     if refine and replicates < 2:
         raise ValueError(f"refine needs at least 2 replicates, got {replicates}")
     tasks = _replicate_tasks([m], replicates, seed, scenario, r, c, x0)
     if refine:
         tasks += [(2 * n, *rest) for n, *rest in tasks]
-    return tuple(_run_tasks(_invelope_task, tasks))
+    samples = _run_tasks(_invelope_task, tasks)
+    h2_all = np.asarray([s.h2_at_0 for _, _, s in samples])
+    h2 = h2_all[:replicates]
+    summary = {
+        "h2_mean": float(h2.mean()),
+        "h2_var": float(h2.var(ddof=1)) if h2.size > 1 else 0.0,
+        "h2_mean_stderr": float(h2.std(ddof=1) / math.sqrt(h2.size)) if h2.size > 1 else 0.0,
+        "replicates": int(h2.size),
+    }
+    lines = [f"h2 mean {summary['h2_mean']:.6f} var {summary['h2_var']:.6f} "
+             f"({h2.size} replicates)"]
+    if refine:
+        summary["refinement"] = _refinement(m, h2, h2_all[h2.size:], lines)
+    return StudyResult(
+        ("scenario", "r", "c", "m", "replicate", "seed", "h2", "h3",
+         "argmin", "query_point", "min_envelope_gap", "kink_envelope_gap"),
+        tuple((scenario, s.r, s.c, s.m, rep, child, s.h2_at_0, s.h3_at_0, s.argmin_h2,
+               s.query_point, s.min_envelope_gap, s.kink_envelope_gap)
+              for rep, child, s in samples),
+        summary,
+        tuple(lines),
+    )
+
+
+def _refinement(m, coarse, fine, lines):
+    """Mean and variance of h2 on the m vs the 2m grid against 3 combined
+    SEs; appends one report line for each to ``lines``."""
+
+    def sem(v):
+        return v.std(ddof=1) / np.sqrt(v.size)
+
+    def sevar(v):
+        fourth = np.mean((v - v.mean()) ** 4)
+        return np.sqrt(max(fourth - v.var(ddof=1) ** 2, 0.0) / v.size)
+
+    out = {}
+    for label, a, b, se in (
+        ("mean", coarse.mean(), fine.mean(), np.hypot(sem(coarse), sem(fine))),
+        ("var", coarse.var(ddof=1), fine.var(ddof=1), np.hypot(sevar(coarse), sevar(fine))),
+    ):
+        out[f"{label}_diff"] = float(abs(a - b))
+        out[f"{label}_budget"] = float(3 * se)
+        verdict = "consistent" if abs(a - b) <= 3 * se else "INCONSISTENT"
+        lines.append(f"h2(0) {label}: m={m}: {a:.4f}  m={2 * m}: {b:.4f}  "
+                     f"|diff| {abs(a - b):.4f} vs 3*SE {3 * se:.4f}  [{verdict}]")
+    out["consistent"] = all(out[f"{k}_diff"] <= out[f"{k}_budget"] for k in ("mean", "var"))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # pointwise error / argmin study and boundary study
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalErrorRecord:
-    n: int
-    replicate: int
-    seed: int
-    value_err: float
-    deriv_err: float
-    argmin_location: float
-    argmin_err: float
-
-
-@dataclass(frozen=True)
-class LocalErrorStudy:
-    r: int
-    records: tuple[LocalErrorRecord, ...]
-
-    def by_n(self, field: str) -> dict[int, np.ndarray]:
-        out = {}
-        for rec in self.records:
-            out.setdefault(rec.n, []).append(getattr(rec, field))
-        return {n: np.asarray(v) for n, v in sorted(out.items())}
-
-
 def local_error_study(r: int = 2, n_grid=(1000, 4000, 16000), replicates: int = 100,
-                      seed: int = 0, sigma: float = 1.0) -> LocalErrorStudy:
+                      seed: int = 0, sigma: float = 1.0) -> StudyResult:
     """Per-replicate value, derivative and argmin errors at 1/2, the minimum
-    of the flat-bottomed scenario."""
-    _probe_spec("vanishing", n_grid, r=r, sigma=sigma)
-    tasks = _replicate_tasks(n_grid, replicates, seed, "vanishing", r, sigma, 0.5)
+    of the flat-bottomed scenario, the argmin error also scaled by
+    n^(1/(2r+1)), and per size its median raw and median and 95% quantile
+    scaled."""
+    grid = _study_grid(n_grid)
+    _probe_spec("vanishing", grid, r=r, sigma=sigma)
+    tasks = _replicate_tasks(grid, replicates, seed, "vanishing", r, sigma, 0.5)
+    rate = 1.0 / (2 * r + 1)
     # the mean and its slope vanish at the minimum 1/2: the errors are |value|, |slope|
-    records = tuple(
-        LocalErrorRecord(n, rep, child, abs(value), abs(slope), loc, abs(loc - 0.5))
+    rows = tuple(
+        (r, n, rep, child, loc, abs(loc - 0.5), n ** rate * abs(loc - 0.5), abs(value),
+         abs(slope))
         for n, rep, child, value, slope, loc in _run_tasks(_point_task, tasks))
-    return LocalErrorStudy(r=r, records=records)
-
-
-@dataclass(frozen=True)
-class BoundaryStudyResult:
-    epsilon: float
-    frequencies: dict[int, float]
-    counts: dict[int, int]
-    replicates: int
+    table = {}
+    for n in grid:
+        errs = np.asarray([row[5] for row in rows if row[1] == n])
+        scaled = np.asarray([row[6] for row in rows if row[1] == n])
+        table[str(n)] = {
+            "median_raw": float(np.median(errs)),
+            "median_scaled": float(np.median(scaled)),
+            "p95_scaled": float(np.quantile(scaled, 0.95)),
+        }
+    return StudyResult(
+        ("r", "n", "replicate", "seed", "argmin_location", "argmin_err",
+         "scaled_argmin_err", "value_err", "deriv_err"),
+        rows,
+        {"quantiles": table},
+        tuple(f"n={n}: median|argmin err| {q['median_raw']:.5f} "
+              f"scaled median {q['median_scaled']:.4f}" for n, q in table.items()),
+    )
 
 
 def boundary_inconsistency_study(n_grid=(500, 2000, 8000), replicates: int = 200,
-                                 seed: int = 0, epsilon: float = 0.05) -> BoundaryStudyResult:
+                                 seed: int = 0, epsilon: float = 0.05) -> StudyResult:
     """Frequency of the extrapolated boundary value overshooting the true
     boundary mean by a factor 1 + epsilon, per sample size.
 
@@ -562,5 +593,11 @@ def boundary_inconsistency_study(n_grid=(500, 2000, 8000), replicates: int = 200
     for n, _, _, value, _, _ in _run_tasks(_point_task, tasks):
         counts[n] = counts.get(n, 0) + int(value > threshold)
     freqs = {n: counts[n] / replicates for n in counts}
-    return BoundaryStudyResult(epsilon=epsilon, frequencies=freqs,
-                               counts=counts, replicates=replicates)
+    return StudyResult(
+        ("n", "count", "replicates", "frequency"),
+        tuple((n, counts[n], replicates, freqs[n]) for n in counts),
+        {"counts": counts, "frequencies": freqs},
+        (f"model 1 - x + x^2, sigma 1, threshold (1 + {epsilon}) * value at 0",
+         *(f"n={n:6d}: overshoot frequency {freqs[n]:.3f} ({counts[n]}/{replicates})"
+           for n in counts)),
+    )

@@ -196,3 +196,13 @@ def invelope_grid(variant, m, seed, r=2, c=4.0):
     delta = 1.0 / m
     t = (np.arange(m) + 0.5) * delta
     return t, philox(4, m, seed).standard_normal(m) / math.sqrt(delta), delta
+
+
+def column_by_n(result, name):
+    """The column ``name`` of a :class:`StudyResult`'s rows, grouped by its
+    ``n`` column: one array per sample size, by ascending n."""
+    n_at, at = result.header.index("n"), result.header.index(name)
+    out = {}
+    for row in result.rows:
+        out.setdefault(row[n_at], []).append(row[at])
+    return {n: np.asarray(v) for n, v in sorted(out.items())}

@@ -28,6 +28,7 @@ from convexreg.output import fmt
 from convexreg.simulation import mix_seed
 
 from characterization import segment_signs, tent_functional
+from helpers import column_by_n
 from oracle import enumerate_convex_lse
 
 BASE_SEED = 20260808
@@ -109,13 +110,14 @@ def test_c3_rate_study_reproduction():
     flat = rate_study("vanishing", replicates=100, seed=BASE_SEED, r=4)
     affine = rate_study("affine", replicates=100, seed=BASE_SEED)
     elapsed = time.perf_counter() - start
-    ok_flat = -0.524 <= flat.slope <= -0.364
-    ok_affine = -0.58 <= affine.slope <= -0.42
+    flat_slope, affine_slope = flat.summary["slope"], affine.summary["slope"]
+    ok_flat = -0.524 <= flat_slope <= -0.364
+    ok_affine = -0.58 <= affine_slope <= -0.42
     report(
         "C3 rate-study slopes",
         ok_flat and ok_affine,
-        f"quartic-bottom slope {flat.slope:.4f} (target window [-0.524, -0.364]), "
-        f"affine slope {affine.slope:.4f} (target window [-0.58, -0.42]), "
+        f"quartic-bottom slope {flat_slope:.4f} (target window [-0.524, -0.364]), "
+        f"affine slope {affine_slope:.4f} (target window [-0.58, -0.42]), "
         f"{elapsed:.0f}s",
     )
 
@@ -128,7 +130,7 @@ def pointwise_study():
 def test_c4_derivative_scaling(pointwise_study):
     p95 = {
         n: float(np.quantile(n ** 0.2 * v, 0.95))
-        for n, v in pointwise_study.by_n("deriv_err").items()
+        for n, v in column_by_n(pointwise_study, "deriv_err").items()
     }
     ratio = max(p95.values()) / min(p95.values())
     report(
@@ -143,10 +145,10 @@ def test_c4_derivative_scaling(pointwise_study):
 def test_c5_argmin_scaling(pointwise_study):
     med_scaled = {
         n: float(np.median(n ** 0.2 * v))
-        for n, v in pointwise_study.by_n("argmin_err").items()
+        for n, v in column_by_n(pointwise_study, "argmin_err").items()
     }
     med_raw = {
-        n: float(np.median(v)) for n, v in pointwise_study.by_n("argmin_err").items()
+        n: float(np.median(v)) for n, v in column_by_n(pointwise_study, "argmin_err").items()
     }
     ratio = max(med_scaled.values()) / min(med_scaled.values())
     raw_sorted = [med_raw[n] for n in sorted(med_raw)]
@@ -165,12 +167,13 @@ def test_c5_argmin_scaling(pointwise_study):
 def test_c6_boundary_inconsistency():
     study = boundary_inconsistency_study((500, 2000, 8000), replicates=200,
                                          seed=BASE_SEED, epsilon=0.05)
-    ok = all(f >= 0.05 for f in study.frequencies.values())
+    frequencies = study.summary["frequencies"]
+    ok = all(f >= 0.05 for f in frequencies.values())
     report(
         "C6 boundary overshoot floor",
         ok,
         "frequency of boundary value > 1.05 * truth: "
-        + ", ".join(f"n={n}: {f:.3f}" for n, f in sorted(study.frequencies.items()))
+        + ", ".join(f"n={n}: {f:.3f}" for n, f in sorted(frequencies.items()))
         + " (floor 0.05)",
     )
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import convexreg
-from convexreg import boundary_inconsistency_study, cli, simulate_invelope
+from convexreg import cli, simulate_invelope
 from convexreg.cli import main
 from convexreg.output import fmt
 from convexreg.simulation import mix_seed
@@ -702,20 +702,37 @@ def test_invelope_refine_adds_the_doubled_grid(tmp_path):
         and expected["var_diff"] <= expected["var_budget"])
 
 
-def test_boundary_command_matches_study(tmp_path, capsys):
-    out = tmp_path / "b"
-    assert main(["boundary", "--n-grid", "100,200", "--replicates", "8", "--seed", "5",
-                 "--epsilon", "0.1", "--output", str(out)]) == 0
-    study = boundary_inconsistency_study((100, 200), 8, seed=5, epsilon=0.1)
-    _, rows = _csv_records(tmp_path / "b.csv")
-    assert [(int(r["n"]), int(r["count"]), int(r["replicates"]), float(r["frequency"]))
-            for r in rows] == [(n, study.counts[n], 8, study.frequencies[n]) for n in (100, 200)]
-    summary = json.loads((tmp_path / "b.json").read_text())
-    assert summary["config"]["seed"] == 5 and summary["config"]["epsilon"] == 0.1
-    assert summary["counts"] == {str(n): c for n, c in study.counts.items()}
-    printed = capsys.readouterr().out.splitlines()
-    assert printed[1] == f"n=   100: overshoot frequency {study.frequencies[100]:.3f} " \
-                         f"({study.counts[100]}/8)"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--scenario", "affine", "--n-grid", "50,120", "--replicates", "20",
+         "--seed", "9", "--x0", "0.3"],
+        ["invelope", "--refine", "--m", "250", "--replicates", "3", "--seed", "4"],
+        ["argmin", "--n-grid", "80,160", "--replicates", "4", "--seed", "2"],
+        ["boundary", "--n-grid", "100,200", "--replicates", "8", "--seed", "5",
+         "--epsilon", "0.1"],
+    ],
+    ids=["rates", "invelope", "argmin", "boundary"],
+)
+def test_study_command_writes_its_study_result(tmp_path, capsys, argv):
+    # the command writes the study's result as it is: the header and rows as
+    # the CSV body, the summary beside the config as the JSON, the lines as stdout
+    from convexreg.output import canonical_json
+
+    argv = argv + ["--output", str(tmp_path / "artifact")]
+    given = {k: v for k, v in vars(cli.build_parser().parse_args(argv)).items()
+             if k not in ("command", "run", "output")}
+    result = _studies()[argv[0]](**given)
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "\n".join(result.lines) + "\n"
+    lines = (tmp_path / "artifact.csv").read_text().splitlines()
+    assert lines[1:] == [",".join(result.header),
+                         *(",".join(fmt(v) for v in row) for row in result.rows)]
+    blob = json.loads((tmp_path / "artifact.json").read_text())
+    assert blob["config"]["command"] == argv[0]
+    assert {k: blob["config"][k] for k in given} == json.loads(canonical_json(given))
+    assert blob == {"config": blob["config"], **json.loads(canonical_json(result.summary))}
 
 
 @pytest.mark.parametrize(
@@ -854,14 +871,10 @@ def test_non_finite_study_flags_exit_2_at_parse_time(tmp_path, capsys, monkeypat
 def test_study_parameters_are_the_command_flags():
     # one name list per study: the study runs on exactly its command's flags
     # (--output aside), and the command records them as the artifact config
-    import convexreg.simulation as simulation
-
-    studies = {"rates": simulation.rate_study, "argmin": simulation.local_error_study,
-               "boundary": simulation.boundary_inconsistency_study,
-               "invelope": simulation.invelope_study}
+    studies = _studies()
     subparsers = next(action.choices for action in cli.build_parser()._actions
                       if action.dest == "command")
-    assert set(studies) < set(subparsers)
+    assert set(subparsers) == {"fit", "check", *studies}
     for command, study in studies.items():
         dests = {action.dest for action in subparsers[command]._actions} - {"help", "output"}
         assert set(inspect.signature(study).parameters) == dests, command
@@ -892,11 +905,10 @@ def _stub_task(fn, task):
 
 
 def _studies():
+    """Each study command's study function, from the command line's own table."""
     import convexreg.simulation as simulation
 
-    return {"rates": simulation.rate_study, "argmin": simulation.local_error_study,
-            "boundary": simulation.boundary_inconsistency_study,
-            "invelope": simulation.invelope_study}
+    return {command: getattr(simulation, name) for command, name in cli.STUDIES.items()}
 
 
 def test_study_flag_defaults_are_the_study_defaults():
@@ -1093,8 +1105,8 @@ def test_public_names_are_pinned():
     # a new public name is a deliberate edit of this list
     assert sorted(convexreg.__all__) == [
         "ArgminResult", "BoundaryDiagnostics", "ConvexFit", "DEFAULT_RATE_GRID", "Dataset",
-        "InvelopeSample", "KINK_TOL", "KKT_TOL", "KktReport", "KktSums", "RateStudyResult",
-        "SCALE_LIMIT", "ScenarioSpec", "SolverError", "SolverTrace", "__version__",
+        "InvelopeSample", "KINK_TOL", "KKT_TOL", "KktReport", "KktSums", "SCALE_LIMIT",
+        "ScenarioSpec", "SolverError", "SolverTrace", "StudyResult", "__version__",
         "argmin_estimator", "boundary_diagnostics", "boundary_inconsistency_study",
         "characterization_report", "evaluate", "fit_convex_lse", "generate_scenario",
         "invelope_study", "kkt_sums", "left_derivative", "local_error_study", "rate_study",

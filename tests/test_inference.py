@@ -15,7 +15,7 @@ from convexreg import (
     scaling_constants,
 )
 
-from helpers import fit_from_values, noisy_convex_dataset
+from helpers import column_by_n, fit_from_values, noisy_convex_dataset
 
 # frozen with 60-digit decimal arithmetic: 15 ** (1/9)
 FIFTEEN_NINTH_ROOT = 1.35106675160177083134619815405
@@ -102,7 +102,7 @@ class TestBoundary:
 
     def test_overshoot_frequency_stays_positive(self):
         study = boundary_inconsistency_study((500, 2000), replicates=40, seed=5)
-        assert all(f >= 0.05 for f in study.frequencies.values())
+        assert all(f >= 0.05 for f in study.summary["frequencies"].values())
 
 
 class TestScalingConstants:
@@ -205,5 +205,5 @@ class TestLocalEstimates:
 
 def test_argmin_consistency_across_sample_sizes():
     study = local_error_study(2, (500, 2000, 8000), 50, seed=6)
-    medians = [float(np.median(v)) for _, v in sorted(study.by_n("argmin_err").items())]
+    medians = [float(np.median(v)) for v in column_by_n(study, "argmin_err").values()]
     assert all(b <= a for a, b in zip(medians[:-1], medians[1:]))

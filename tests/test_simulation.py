@@ -30,14 +30,13 @@ from convexreg import (
 from convexreg.simulation import (
     AMPLITUDE,
     DEFAULT_RATE_GRID,
-    LocalErrorRecord,
     WorkerError,
     _int_power,
     _run_tasks,
     mix_seed,
 )
 from convexreg.solver import certificate_scale
-from helpers import boundary_draw, invelope_grid
+from helpers import boundary_draw, column_by_n, invelope_grid
 
 
 class TestGenerateScenario:
@@ -156,15 +155,15 @@ class TestRateStudy:
 
     def test_smoke_slope_is_negative(self):
         result = rate_study("affine", n_grid=(50, 200, 800), replicates=20, seed=2)
-        assert result.slope < 0.0
-        assert result.skipped == 0
-        assert len(result.records) == 60
+        assert result.summary["slope"] < 0.0
+        assert result.summary["skipped"] == 0
+        assert len(result.rows) == 60
 
     def test_flat_scenario_rate_exponent(self):
         # quadratic-bottom scenario on the default grid: pooled log-bias
         # slope sits near -2/5
         result = rate_study("vanishing", replicates=100, seed=20260808, r=2)
-        assert result.slope == pytest.approx(-0.4, abs=0.08)
+        assert result.summary["slope"] == pytest.approx(-0.4, abs=0.08)
 
     def test_quartic_scaled_value_quantiles_are_tight(self):
         # the centered value error scaled by n^(4/9) keeps stable upper
@@ -172,7 +171,7 @@ class TestRateStudy:
         study = local_error_study(4, (1000, 4000, 16000), 60, seed=20260808)
         p95 = {
             n: float(np.quantile(n ** (4.0 / 9.0) * v, 0.95))
-            for n, v in study.by_n("value_err").items()
+            for n, v in column_by_n(study, "value_err").items()
         }
         assert max(p95.values()) < 2.0 * min(p95.values())
 
@@ -513,10 +512,11 @@ def test_every_study_task_is_n_replicate_mixed_seed_then_params(
 
 def test_refine_repeats_the_m_seeds_on_the_doubled_grid(monkeypatch):
     seen = _spy_tasks(monkeypatch)
-    samples = invelope_study("vanishing", 200, 3, seed=3, refine=True)
+    result = invelope_study("vanishing", 200, 3, seed=3, refine=True)
     coarse = [(200, rep, mix_seed(3, 200, rep), "vanishing", 2, 4.0, 0.5) for rep in range(3)]
     assert seen == coarse + [(400, *task[1:]) for task in coarse]
-    assert [(rep, seed, s.m) for rep, seed, s in samples] == [
+    m_at, rep_at, seed_at = (result.header.index(k) for k in ("m", "replicate", "seed"))
+    assert [(row[rep_at], row[seed_at], row[m_at]) for row in result.rows] == [
         (rep, seed, m) for m, rep, seed, *_ in seen]
 
 
@@ -578,23 +578,24 @@ def _read_by_hand(kind, n, seed, replicate, r, sigma, point):
 def test_rate_records_are_the_bias_read_off_each_fit():
     study = rate_study("vanishing", n_grid=(60, 120), replicates=20, x0=0.3, seed=7, r=4,
                        sigma=0.5)
-    records = {(rec.n, rec.replicate): rec for rec in study.records}
+    rows = {row[2:4]: row for row in study.rows}
     for n in (60, 120):
         for rep in (0, 13):
             spec, value, _, _ = _read_by_hand("vanishing", n, 7, rep, 4, 0.5, 0.3)
             bias = abs(value - true_mean(spec, 0.3))
-            rec = records[n, rep]
-            assert (rec.seed, rec.bias, rec.log_abs_bias) == (spec.seed, bias, math.log(bias))
+            assert rows[n, rep] == ("vanishing", 4, n, rep, spec.seed, bias, math.log(n),
+                                    math.log(bias))
 
 
 def test_local_error_records_are_the_reads_at_one_half():
     study = local_error_study(4, (60, 120), 3, seed=7, sigma=0.5)
-    records = {(rec.n, rec.replicate): rec for rec in study.records}
+    rows = {row[1:3]: row for row in study.rows}
     for n in (60, 120):
         for rep in (0, 2):
             spec, value, slope, loc = _read_by_hand("vanishing", n, 7, rep, 4, 0.5, 0.5)
-            assert records[n, rep] == LocalErrorRecord(n, rep, spec.seed, abs(value), abs(slope),
-                                                       loc, abs(loc - 0.5))
+            # r = 4: the argmin error is also scaled by n^(1/9)
+            assert rows[n, rep] == (4, n, rep, spec.seed, loc, abs(loc - 0.5),
+                                    n ** (1.0 / 9) * abs(loc - 0.5), abs(value), abs(slope))
 
 
 def test_boundary_counts_are_the_overshoots_at_zero():
@@ -605,5 +606,6 @@ def test_boundary_counts_are_the_overshoots_at_zero():
         for rep in (0, 1):
             spec, value, _, _ = _read_by_hand("boundary", n, 7, rep, 2, 1.0, 0.0)
             expected[n] = expected.get(n, 0) + int(value > 1.5 * true_mean(spec, 0.0))
-    assert study.counts == expected
-    assert study.frequencies == {n: k / 2 for n, k in expected.items()}
+    assert study.rows == tuple((n, k, 2, k / 2) for n, k in expected.items())
+    assert study.summary == {"counts": expected,
+                             "frequencies": {n: k / 2 for n, k in expected.items()}}
