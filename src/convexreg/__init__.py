@@ -23,13 +23,7 @@ _EXPORTS = {
     ),
     "solver": ("KktSums", "SolverError", "SolverTrace", "fit_convex_lse", "kkt_sums"),
     "diagnostics": ("KktReport", "characterization_report"),
-    "inference": (
-        "ArgminResult",
-        "BoundaryDiagnostics",
-        "argmin_estimator",
-        "boundary_diagnostics",
-        "scaling_constants",
-    ),
+    "inference": ("argmin_estimator", "scaling_constants"),
     "simulation": (
         "DEFAULT_RATE_GRID",
         "InvelopeSample",

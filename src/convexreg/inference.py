@@ -1,59 +1,25 @@
 """Consumer-facing estimators built on a certified fit.
 
-The argmin estimator (smallest design point attaining the minimum fitted
-value), boundary values and slopes obtained by linear continuation of the
-first and last segments, and the deterministic scaling constants that map
-local estimation error into canonical limit coordinates.
+The argmin estimator (the smallest design point attaining the minimum
+fitted value) and the deterministic scaling constants that map local
+estimation error into canonical limit coordinates.  The boundary values
+and slopes are ``evaluate`` and ``left_derivative`` at 0 and 1.
 """
 
 import math
 
 import numpy as np
-from dataclasses import dataclass
 
-from .model import ConvexFit, Dataset, evaluate, fitted_values, left_derivative
+from .model import ConvexFit, Dataset, fitted_values
 
 ARGMIN_TIE_TOL = 1e-12  # absolute tie window on fitted values
 
 
-@dataclass(frozen=True)
-class ArgminResult:
-    location: float
-    value: float
-    tie_count: int
-
-
-@dataclass(frozen=True)
-class BoundaryDiagnostics:
-    value_at_0: float
-    deriv_at_0: float
-    value_at_1: float
-    deriv_at_1: float
-
-
-def argmin_estimator(fit: ConvexFit, dataset: Dataset) -> ArgminResult:
+def argmin_estimator(fit: ConvexFit, dataset: Dataset) -> float:
     """Smallest design point minimizing the fitted values; ties within
-    an absolute 1e-12 window are counted and resolved to the left."""
+    an absolute 1e-12 window resolve to the left."""
     fitted = fitted_values(dataset, fit)
-    vmin = float(fitted.min())
-    ties = np.flatnonzero(fitted <= vmin + ARGMIN_TIE_TOL)
-    loc = int(ties[0])
-    return ArgminResult(
-        location=float(dataset.x[loc]),
-        value=float(fitted[loc]),
-        tie_count=int(ties.size),
-    )
-
-
-def boundary_diagnostics(fit: ConvexFit, dataset: Dataset) -> BoundaryDiagnostics:
-    """Values and one-sided slopes at 0 and 1 from the boundary segments:
-    the evaluators continue them linearly outside the design."""
-    return BoundaryDiagnostics(
-        value_at_0=evaluate(fit, dataset, 0.0),
-        deriv_at_0=left_derivative(fit, dataset, 0.0),
-        value_at_1=evaluate(fit, dataset, 1.0),
-        deriv_at_1=left_derivative(fit, dataset, 1.0),
-    )
+    return float(dataset.x[np.flatnonzero(fitted <= fitted.min() + ARGMIN_TIE_TOL)[0]])
 
 
 def scaling_constants(r: int, sigma: float, mu_r_at_x0: float) -> tuple[float, float]:

@@ -261,7 +261,7 @@ def _read_at(fit, dataset, point):
     """The fit's value and left derivative at ``point`` in [0, 1], and the
     argmin location: the three pointwise reads the studies make."""
     return (evaluate(fit, dataset, point), left_derivative(fit, dataset, point),
-            argmin_estimator(fit, dataset).location)
+            argmin_estimator(fit, dataset))
 
 
 def _point_task(args):
@@ -385,7 +385,8 @@ class InvelopeSample:
     ``h2_at_0`` is the fitted value at the grid point nearest the query
     (0 for the canonical problem), ``h3_at_0`` the left derivative there, and
     ``argmin_h2`` the smallest minimizer of the fitted values, all in the
-    coordinates of ``domain``.  ``r = 0`` marks the zero-drift variant.
+    grid coordinates t (``query_point`` is that grid point).  ``r = 0``
+    marks the zero-drift variant.
     ``min_envelope_gap`` and ``kink_envelope_gap`` read the fit's own
     certificate (``SolverTrace.certificate``) with the fit report's
     normalization ``m * (1 + max|response|)``: the smallest cumulative sum
@@ -401,7 +402,6 @@ class InvelopeSample:
     h2_at_0: float
     h3_at_0: float
     argmin_h2: float
-    domain: tuple[float, float]
     query_point: float
     min_envelope_gap: float
     kink_envelope_gap: float
@@ -420,7 +420,7 @@ def _run_invelope(t, responses, delta, query, r, c):
     kink_gap = float(np.max(np.abs(cum[np.asarray(fit.kinks) - 1]))) if fit.kinks else 0.0
     return InvelopeSample(
         r=r, c=c, m=len(t), h2_at_0=h2, h3_at_0=slope / width, argmin_h2=loc * width + lo,
-        domain=(lo, hi), query_point=float(t[idx]),
+        query_point=float(t[idx]),
         min_envelope_gap=float(cum.min() / scale),
         kink_envelope_gap=kink_gap / scale,
     )

@@ -900,8 +900,7 @@ def _stub_task(fn, task):
     if fn is simulation._point_task:
         return n, rep, seed, 1.0 / n, 0.0, 0.5
     r, c = task[4:6]
-    return rep, seed, simulation.InvelopeSample(r, c, n, float(rep), 0.0, 0.0, (-c, c),
-                                                0.0, 0.0, 0.0)
+    return rep, seed, simulation.InvelopeSample(r, c, n, float(rep), 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _studies():
@@ -1104,10 +1103,9 @@ def test_every_public_name_resolves():
 def test_public_names_are_pinned():
     # a new public name is a deliberate edit of this list
     assert sorted(convexreg.__all__) == [
-        "ArgminResult", "BoundaryDiagnostics", "ConvexFit", "DEFAULT_RATE_GRID", "Dataset",
-        "InvelopeSample", "KINK_TOL", "KKT_TOL", "KktReport", "KktSums", "SCALE_LIMIT",
-        "ScenarioSpec", "SolverError", "SolverTrace", "StudyResult", "__version__",
-        "argmin_estimator", "boundary_diagnostics", "boundary_inconsistency_study",
+        "ConvexFit", "DEFAULT_RATE_GRID", "Dataset", "InvelopeSample", "KINK_TOL", "KKT_TOL",
+        "KktReport", "KktSums", "SCALE_LIMIT", "ScenarioSpec", "SolverError", "SolverTrace",
+        "StudyResult", "__version__", "argmin_estimator", "boundary_inconsistency_study",
         "characterization_report", "evaluate", "fit_convex_lse", "generate_scenario",
         "invelope_study", "kkt_sums", "left_derivative", "local_error_study", "rate_study",
         "scaling_constants", "simulate_invelope", "true_mean",
@@ -1170,14 +1168,16 @@ def test_ci_workflow_runs_only_the_suites():
 
 
 def test_readme_entry_points_resolve():
-    # the names each "Key entry points" bullet documents, before its dash;
-    # a call such as `fit_convex_lse(dataset, ...)` names its function
+    # the names each "Key entry points" bullet documents, before its dash
+    # (which may end a line); a call such as `fit_convex_lse(dataset, ...)`
+    # names its function
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("Key entry points:", 1)[1].split("\n## ", 1)[0]
-    names = [span.split("(")[0]
-             for bullet in section.split("\n- ") if " — " in bullet
-             for span in re.findall(r"`([^`]+)`", bullet.split(" — ", 1)[0])]
-    assert {"Dataset.from_arrays", "fit_convex_lse", "kkt_sums"} <= set(names)
+    heads = [re.split(r"—\s", bullet, maxsplit=1)[0]
+             for bullet in section.split("\n- ") if re.search(r"—\s", bullet)]
+    names = [span.split("(")[0] for head in heads for span in re.findall(r"`([^`]+)`", head)]
+    assert {"Dataset.from_arrays", "fit_convex_lse", "kkt_sums",
+            "argmin_estimator"} <= set(names)
     for name in names:
         value = convexreg
         for part in name.split("."):

@@ -5,7 +5,6 @@ from convexreg import (
     Dataset,
     ScenarioSpec,
     argmin_estimator,
-    boundary_diagnostics,
     boundary_inconsistency_study,
     evaluate,
     fit_convex_lse,
@@ -14,6 +13,7 @@ from convexreg import (
     local_error_study,
     scaling_constants,
 )
+from convexreg.inference import ARGMIN_TIE_TOL
 
 from helpers import column_by_n, fit_from_values, noisy_convex_dataset
 
@@ -27,31 +27,52 @@ def vee():
     return fit_from_values(ds, ds.y), ds
 
 
+def boundary_reads(fit, ds):
+    """The values and left slopes at 0 and 1: the evaluators continue the
+    first and last segments linearly outside the design."""
+    return (evaluate(fit, ds, 0.0), left_derivative(fit, ds, 0.0),
+            evaluate(fit, ds, 1.0), left_derivative(fit, ds, 1.0))
+
+
+def value_at(fit, ds, location):
+    """The fitted value at the design point ``location``."""
+    return fit.fitted[np.searchsorted(ds.x, location)]
+
+
 class TestArgmin:
     def test_increasing_fit_takes_first_point(self):
         x = np.linspace(0.1, 0.9, 7)
         ds = Dataset(x=x, y=2.0 * x, weights=np.ones(7))
         fit = fit_from_values(ds, ds.y)
-        result = argmin_estimator(fit, ds)
-        assert result.location == pytest.approx(0.1)
-        assert result.tie_count == 1
+        assert argmin_estimator(fit, ds) == pytest.approx(0.1)
 
     def test_tie_resolves_to_smaller_point(self):
         ds = Dataset(x=np.array([0.1, 0.4, 0.6, 0.9]),
                      y=np.array([1.0, 0.0, 0.0, 1.0]), weights=np.ones(4))
         fit = fit_from_values(ds, ds.y)
-        result = argmin_estimator(fit, ds)
-        assert result.location == pytest.approx(0.4)
-        assert result.value == pytest.approx(0.0)
-        assert result.tie_count == 2
+        location = argmin_estimator(fit, ds)
+        assert location == pytest.approx(0.4)
+        assert value_at(fit, ds, location) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("above, location", [(0.5 * ARGMIN_TIE_TOL, 0.4),
+                                                 (ARGMIN_TIE_TOL, 0.4), (1e-11, 0.6)])
+    def test_tie_window_edges(self, above, location):
+        # a left point within the absolute window of the minimum wins; one
+        # 1e-11 above it does not.  The minimum is 0, so the window edge is
+        # exactly ARGMIN_TIE_TOL
+        ds = Dataset(x=np.array([0.1, 0.4, 0.6, 0.9]),
+                     y=np.array([1.0, above, 0.0, 1.0]), weights=np.ones(4))
+        fit = fit_from_values(ds, ds.y)
+        got = argmin_estimator(fit, ds)
+        assert got == location and type(got) is float
 
     def test_location_attains_global_minimum_of_interpolant(self):
         for seed in range(5):
             ds = noisy_convex_dataset(seed, n=60)
             fit, _ = fit_convex_lse(ds)
-            result = argmin_estimator(fit, ds)
+            value = value_at(fit, ds, argmin_estimator(fit, ds))
             grid = np.linspace(ds.x[0], ds.x[-1], 401)
-            assert result.value <= float(np.min(evaluate(fit, ds, grid))) + 1e-10
+            assert value <= float(np.min(evaluate(fit, ds, grid))) + 1e-10
 
 
 class TestBoundary:
@@ -59,27 +80,27 @@ class TestBoundary:
         x = np.linspace(0.2, 0.8, 5)
         ds = Dataset(x=x, y=x.copy(), weights=np.ones(5))
         fit = fit_from_values(ds, ds.y)
-        b = boundary_diagnostics(fit, ds)
-        assert (b.value_at_0, b.deriv_at_0) == (pytest.approx(0.0), pytest.approx(1.0))
-        assert (b.value_at_1, b.deriv_at_1) == (pytest.approx(1.0), pytest.approx(1.0))
+        value_0, deriv_0, value_1, deriv_1 = boundary_reads(fit, ds)
+        assert (value_0, deriv_0) == (pytest.approx(0.0), pytest.approx(1.0))
+        assert (value_1, deriv_1) == (pytest.approx(1.0), pytest.approx(1.0))
 
     def test_vee(self):
         fit, ds = vee()
-        b = boundary_diagnostics(fit, ds)
-        assert b.value_at_0 == pytest.approx(2.0)
-        assert b.deriv_at_0 == pytest.approx(-4.0)
-        assert b.value_at_1 == pytest.approx(2.0)
-        assert b.deriv_at_1 == pytest.approx(4.0)
+        value_0, deriv_0, value_1, deriv_1 = boundary_reads(fit, ds)
+        assert value_0 == pytest.approx(2.0)
+        assert deriv_0 == pytest.approx(-4.0)
+        assert value_1 == pytest.approx(2.0)
+        assert deriv_1 == pytest.approx(4.0)
 
     def test_boundary_slopes_bracket_interior_slopes(self):
         for seed in range(5):
             ds = noisy_convex_dataset(seed, n=80)
             fit, _ = fit_convex_lse(ds)
-            b = boundary_diagnostics(fit, ds)
+            _, deriv_0, _, deriv_1 = boundary_reads(fit, ds)
             grid = np.linspace(0.01, 1.0, 50)
             slopes = left_derivative(fit, ds, grid)
-            assert np.all(slopes >= b.deriv_at_0 - 1e-10)
-            assert np.all(slopes <= b.deriv_at_1 + 1e-10)
+            assert np.all(slopes >= deriv_0 - 1e-10)
+            assert np.all(slopes <= deriv_1 + 1e-10)
 
     def test_matches_the_boundary_segment_continuation(self):
         # the evaluators continue the first and last segments linearly; on
@@ -96,8 +117,7 @@ class TestBoundary:
             fit, _ = fit_convex_lse(ds)
             f, x = fit.fitted, ds.x
             s0, s1 = (f[1] - f[0]) / (x[1] - x[0]), (f[-1] - f[-2]) / (x[-1] - x[-2])
-            b = boundary_diagnostics(fit, ds)
-            assert (b.value_at_0, b.deriv_at_0, b.value_at_1, b.deriv_at_1) == (
+            assert boundary_reads(fit, ds) == (
                 f[0] - s0 * x[0], s0, f[-1] + s1 * (1.0 - x[-1]), s1)
 
     def test_overshoot_frequency_stays_positive(self):

@@ -36,7 +36,7 @@ from convexreg.simulation import (
     mix_seed,
 )
 from convexreg.solver import certificate_scale
-from helpers import boundary_draw, column_by_n, invelope_grid
+from helpers import boundary_draw, column_by_n, invelope_grid, philox
 
 
 class TestGenerateScenario:
@@ -80,6 +80,26 @@ class TestGenerateScenario:
             ds = generate_scenario(ScenarioSpec("boundary", n, seed, r=r))
             for field in ("x", "y", "weights"):
                 assert getattr(ds, field).tobytes() == getattr(ref, field).tobytes(), field
+
+    @pytest.mark.parametrize("kind, code, r", [("vanishing", 0, 2), ("vanishing", 0, 4),
+                                               ("affine", 1, 2), ("affine", 1, 3)])
+    @pytest.mark.parametrize("n, seed", [(10, 0), (137, 5), (500, mix_seed(20260808, 500, 3))])
+    def test_scenario_kinds_are_the_stream_1_draw(self, kind, code, r, n, seed):
+        # x first, then the noise, from (1, kind_code, r, n, seed); sigma
+        # only rescales the noise
+        rng = philox(1, code, r, n, seed)
+        x = rng.random(n)
+        eps = rng.standard_normal(n)
+        spec = ScenarioSpec(kind, n, seed, r=r, sigma=0.5)
+        ref = Dataset.from_arrays(x, true_mean(spec, x) + 0.5 * eps)
+        ds = generate_scenario(spec)
+        for field in ("x", "y", "weights"):
+            assert getattr(ds, field).tobytes() == getattr(ref, field).tobytes(), field
+
+    def test_affine_draw_reads_r(self):
+        # r is part of the affine key, so it must be recorded to replay a draw
+        a, b = (generate_scenario(ScenarioSpec("affine", 50, 1, r=r)) for r in (2, 4))
+        assert a.x.tobytes() != b.x.tobytes()
 
     @pytest.mark.parametrize("r", range(2, 9))
     def test_integer_power_matches_pow(self, r):
@@ -225,7 +245,7 @@ class TestInvelope:
         else:
             sample = simulate_invelope("affine", m, seed)
         t, responses, delta = invelope_grid(variant, m, seed)
-        lo, hi = sample.domain
+        lo, hi = t[0] - 0.5 * delta, t[-1] + 0.5 * delta
         ds = Dataset.from_arrays((t - lo) / (hi - lo), responses)
         fit, trace = fit_convex_lse(ds)
         assert fit.kinks
@@ -280,7 +300,8 @@ class TestInvelope:
     def test_affine_sample_reports_query_point(self):
         s = simulate_invelope("affine", 400, 2, x0=0.25)
         assert abs(s.query_point - 0.25) < 1.0 / 400
-        assert s.domain == (0.0, 1.0)
+        t, _, delta = invelope_grid("affine", 400, 2)
+        assert (t[0] - 0.5 * delta, t[-1] + 0.5 * delta) == (0.0, 1.0)
         assert s.r == 0
 
     def test_refinement_smoke(self):
@@ -572,7 +593,7 @@ def _read_by_hand(kind, n, seed, replicate, r, sigma, point):
     dataset = generate_scenario(spec)
     fit, _ = fit_convex_lse(dataset)
     return (spec, evaluate(fit, dataset, point), left_derivative(fit, dataset, point),
-            argmin_estimator(fit, dataset).location)
+            argmin_estimator(fit, dataset))
 
 
 def test_rate_records_are_the_bias_read_off_each_fit():
